@@ -65,6 +65,11 @@ FILTER+=':MaintainedSkyline*:SlidingWindow*:StreamSweep*:Subscription*:NotifyQue
 # verify-once checksum flags are the TSan target), the DatasetSource seam,
 # and the resident-vs-streamed differential sweep with spill enabled.
 FILTER+=':BlockStore*:DatasetSource*:*OutOfCoreSweep*'
+# Bulk shuffle spill and the report from job 1's routing: the spill codec's
+# decode bounds on truncated and corrupted files (ASan/UBSan), the per-worker
+# span read buffers and the routing tallies under kThreads (TSan), and the
+# single-pass streamed reads.
+FILTER+=':ShuffleSpill*:RoutedRecords*:StreamedReads*:PipelineSpill*:*PartitionReportSweep*'
 
 if [[ "$KIND" == "thread" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"

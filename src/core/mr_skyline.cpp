@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <istream>
+#include <cstring>
 #include <memory>
-#include <ostream>
 #include <span>
 #include <sstream>
 #include <unordered_set>
@@ -143,28 +142,64 @@ data::PointSet& to_point_set(std::size_t dim, const std::vector<PointRec>& recs)
 /// Fixed-layout spill codec for the pipeline's intermediate records, used by
 /// both job 1 and every merge round (they share the KV<size_t, PointRec>
 /// shape): u64 key, u32 id, u64 coordinate count, raw doubles.
-void spill_write_rec(std::ostream& os, const mr::KV<std::size_t, PointRec>& kv) {
+constexpr std::size_t kSpillHeaderBytes =
+    sizeof(std::uint64_t) + sizeof(data::PointId) + sizeof(std::uint64_t);
+
+void spill_write_rec(std::vector<char>& out, const mr::KV<std::size_t, PointRec>& kv) {
   const auto key = static_cast<std::uint64_t>(kv.key);
-  os.write(reinterpret_cast<const char*>(&key), sizeof(key));
-  os.write(reinterpret_cast<const char*>(&kv.value.id), sizeof(kv.value.id));
   const auto count = static_cast<std::uint64_t>(kv.value.coords.size());
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  os.write(reinterpret_cast<const char*>(kv.value.coords.data()),
-           static_cast<std::streamsize>(count * sizeof(double)));
+  const std::size_t at = out.size();
+  out.resize(at + kSpillHeaderBytes + kv.value.coords.size() * sizeof(double));
+  char* p = out.data() + at;
+  std::memcpy(p, &key, sizeof(key));
+  p += sizeof(key);
+  std::memcpy(p, &kv.value.id, sizeof(kv.value.id));
+  p += sizeof(kv.value.id);
+  std::memcpy(p, &count, sizeof(count));
+  p += sizeof(count);
+  std::memcpy(p, kv.value.coords.data(), kv.value.coords.size() * sizeof(double));
 }
 
-mr::KV<std::size_t, PointRec> spill_read_rec(std::istream& is) {
+/// Decodes one record from the front of `in` and advances past it. Every
+/// record of a pipeline carries exactly `dim` coordinates, so any other
+/// count is corruption; nothing is read before its bytes are known to be
+/// inside `in`.
+mr::KV<std::size_t, PointRec> spill_read_rec(std::span<const char>& in, std::size_t dim) {
+  if (in.size() < kSpillHeaderBytes) {
+    MRSKY_FAIL("truncated shuffle spill record: " + std::to_string(in.size()) +
+               " bytes left, header needs " + std::to_string(kSpillHeaderBytes));
+  }
   std::uint64_t key = 0;
-  is.read(reinterpret_cast<char*>(&key), sizeof(key));
-  mr::KV<std::size_t, PointRec> kv;
-  kv.key = static_cast<std::size_t>(key);
-  is.read(reinterpret_cast<char*>(&kv.value.id), sizeof(kv.value.id));
   std::uint64_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  kv.value.coords.resize(static_cast<std::size_t>(count));
-  is.read(reinterpret_cast<char*>(kv.value.coords.data()),
-          static_cast<std::streamsize>(count * sizeof(double)));
+  mr::KV<std::size_t, PointRec> kv;
+  const char* p = in.data();
+  std::memcpy(&key, p, sizeof(key));
+  p += sizeof(key);
+  std::memcpy(&kv.value.id, p, sizeof(kv.value.id));
+  p += sizeof(kv.value.id);
+  std::memcpy(&count, p, sizeof(count));
+  p += sizeof(count);
+  if (count != dim) {
+    MRSKY_FAIL("corrupt shuffle spill record: coordinate count " + std::to_string(count) +
+               ", expected " + std::to_string(dim));
+  }
+  const std::size_t payload = dim * sizeof(double);
+  if (in.size() - kSpillHeaderBytes < payload) {
+    MRSKY_FAIL("truncated shuffle spill record: " + std::to_string(in.size()) +
+               " bytes left, record needs " + std::to_string(kSpillHeaderBytes + payload));
+  }
+  kv.key = static_cast<std::size_t>(key);
+  kv.value.coords.resize(dim);
+  std::memcpy(kv.value.coords.data(), p, payload);
+  in = in.subspan(kSpillHeaderBytes + payload);
   return kv;
+}
+
+/// The spill codec of every job in one pipeline run.
+template <typename Job>
+void set_spill_codec(Job& job, std::size_t dim) {
+  job.spill_codec.write = spill_write_rec;
+  job.spill_codec.read = [dim](std::span<const char>& in) { return spill_read_rec(in, dim); };
 }
 
 void throw_if_invalid(const std::vector<std::string>& errors) {
@@ -178,14 +213,12 @@ void throw_if_invalid(const std::vector<std::string>& errors) {
 /// The shared pipeline body — job 1 (partition + local skyline) and the
 /// merge cascade — generic over the input view (PointSetInput streams a
 /// resident PointSet, BlockInput streams a DatasetSource's surviving
-/// blocks). The caller has already fitted the partitioner, computed the
-/// partition report (whose sizes feed salting) and decided the
-/// pruned-partition set; `total_points` is the number of rows the map stage
-/// will actually stream, which sizes the salting target.
+/// blocks). The caller has already fitted the partitioner and decided the
+/// pruned-partition set. The partition report comes from job 1's own
+/// routing: it counts exactly the rows the map stage streams.
 template <typename Input>
-void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t dim,
-                  const part::Partitioner& part_ref, std::size_t partitions,
-                  const std::unordered_set<std::size_t>& pruned,
+void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitioner& part_ref,
+                  std::size_t partitions, const std::unordered_set<std::size_t>& pruned,
                   const MRSkylineConfig& config, MRSkylineResult& result) {
   common::TraceRecorder* const trace = config.run_options.trace;
 
@@ -206,14 +239,20 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
   // Optional skew cure: hash-salt oversized partitions into sub-keys, one
   // reduce task each (MRSkylineConfig::salt_oversized_partitions). Key space
   // is compacted: partition p owns keys [key_base[p], key_base[p+1]).
+  // Salting needs partition sizes before job 1 runs, so it counts them over
+  // the rows job 1 will stream — an extra pass only salted runs pay.
   std::vector<std::size_t> salt(partitions, 1);
   if (config.salt_oversized_partitions) {
-    const double target = config.salt_target_factor * static_cast<double>(total_points) /
+    std::vector<std::size_t> sizes(partitions, 0);
+    for (std::size_t i = 0; i < input_view.size(); ++i) {
+      sizes[part_ref.assign(input_view.value(i))] += 1;
+    }
+    const double target = config.salt_target_factor *
+                          static_cast<double>(input_view.size()) /
                           static_cast<double>(partitions);
     for (std::size_t p = 0; p < partitions; ++p) {
       const auto needed = static_cast<std::size_t>(
-          std::ceil(static_cast<double>(result.partition_report.sizes[p]) /
-                    std::max(target, 1.0)));
+          std::ceil(static_cast<double>(sizes[p]) / std::max(target, 1.0)));
       salt[p] = std::clamp<std::size_t>(needed, 1, 64);
     }
   }
@@ -245,8 +284,7 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
   job1.value_bytes_fn = [](const PointRec& rec) {
     return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
   };
-  job1.spill_codec.write = spill_write_rec;
-  job1.spill_codec.read = spill_read_rec;
+  set_spill_codec(job1, dim);
 
   job1.map_fn = [&part_ref, &salt, &key_base, dim](
                     const data::PointId& id, const std::span<const double>& coords,
@@ -309,6 +347,14 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
   auto job1_result = mr::run_job(job1, input_view, run_opts);
   result.partition_job = std::move(job1_result.metrics);
 
+  // The partition report: job 1 routed key k to reduce bucket k, and every
+  // salted key folds back to its partition.
+  std::vector<std::size_t> partition_sizes(partitions, 0);
+  for (std::size_t k = 0; k < total_keys; ++k) {
+    partition_sizes[key_to_partition[k]] += result.partition_job.routed_records[k];
+  }
+  result.partition_report = part::report_from_sizes(part_ref, std::move(partition_sizes));
+
   // Collect per-partition local skylines ("file st" in Algorithm 1).
   result.local_skylines.assign(partitions, data::PointSet(dim));
   for (const auto& kv : job1_result.output) {
@@ -345,8 +391,7 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
     job.value_bytes_fn = [](const PointRec& rec) {
       return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
     };
-    job.spill_codec.write = spill_write_rec;
-    job.spill_codec.read = spill_read_rec;
+    set_spill_codec(job, dim);
     job.map_fn = [fan_in](const std::size_t& group, const PointRec& rec,
                           mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
       ctx.charge_work(1);
@@ -557,10 +602,7 @@ MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfi
   }
 
   MRSkylineResult result;
-  result.partition_report = part::analyze_partitioning(*partitioner, input);
-
-  run_pipeline(PointSetInput{&input}, input.size(), dim, *partitioner, partitions, pruned,
-               config, result);
+  run_pipeline(PointSetInput{&input}, dim, *partitioner, partitions, pruned, config, result);
 
   result.wall_seconds = wall.elapsed_seconds();
   return result;
@@ -662,9 +704,6 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
     for (std::size_t p : partitioner->prunable_partitions()) pruned.insert(p);
   }
 
-  MRSkylineResult result;
-  result.partition_report = part::analyze_partitioning(*partitioner, source);
-
   // Pre-shuffle block pruning: a block whose min corner is *strictly*
   // dominated in every attribute by some sample-skyline point contains only
   // dominated rows — the dominator is a real dataset point — so the block
@@ -715,7 +754,8 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   // point (that dominator would have knocked the resident point out).
   MRSKY_ASSERT(!stream.blocks.empty(), "block pruning dropped every block");
 
-  run_pipeline(stream, stream.size(), dim, *partitioner, partitions, pruned, config, result);
+  MRSkylineResult result;
+  run_pipeline(stream, dim, *partitioner, partitions, pruned, config, result);
   result.partition_job.blocks_pruned = blocks_pruned;
   result.partition_job.bytes_read = bytes_read;
   result.partition_job.bytes_pruned = bytes_pruned;

@@ -96,7 +96,9 @@ struct MRSkylineConfig {
 
   /// Skew cure (extension): split any partition whose population exceeds
   /// `salt_target_factor` × N/Np into that many hash-salted sub-partitions,
-  /// each its own local-skyline reduce task. Standard MapReduce salting: it
+  /// each its own local-skyline reduce task. N and the populations count the
+  /// rows job 1 streams (a streamed run's surviving rows), in one extra
+  /// counting pass before job 1. Standard MapReduce salting: it
   /// bounds the largest reduce task at the cost of a larger merge input
   /// (sub-skylines of one cone overlap). Fixes MR-Angle's dense-sector
   /// imbalance on direction-clumped data; quantified in bench/ablation_salting.
@@ -173,7 +175,10 @@ struct PlanDecision {
 struct MRSkylineResult {
   data::PointSet skyline;                        ///< the global skyline
   std::vector<data::PointSet> local_skylines;    ///< per partition (post Job 1)
-  part::PartitionReport partition_report;        ///< sizes / balance / pruning
+  /// Sizes / balance / pruning, counted from job 1's own routing: every
+  /// input point of a resident run, the surviving blocks' rows of a streamed
+  /// one (see src/partition/stats.hpp).
+  part::PartitionReport partition_report;
   mr::JobMetrics partition_job;                  ///< Job 1 metrics
   /// All merge rounds in execution order (size 1 with merge_fan_in = 0,
   /// never empty after a run).
@@ -213,10 +218,14 @@ struct MRSkylineResult {
 /// Runs the pipeline streaming from a DatasetSource. Map tasks iterate the
 /// source block by block instead of over a materialised PointSet, so peak
 /// memory is bounded by a handful of blocks regardless of dataset size.
-/// Blocks whose min corner is strictly dominated by a sample-skyline point
-/// are skipped whole before any row is read (config.block_prune, sound —
-/// see MRSkylineConfig); the job-1 metrics report `blocks_pruned`,
-/// `bytes_read` and `bytes_pruned`. The skyline is the SAME POINT SET as
+/// The run reads the source in two passes: the fit sample (rows from every
+/// block with a non-zero sample quota), then the map stage's single pass
+/// over the blocks that survive pruning. Blocks whose min corner is
+/// strictly dominated by a sample-skyline point are skipped by the map
+/// stage (config.block_prune, sound — see MRSkylineConfig); the job-1
+/// metrics report `blocks_pruned`, `bytes_read` and `bytes_pruned`. A
+/// salted run (config.salt_oversized_partitions) reads the surviving blocks
+/// once more to size its salts. The skyline is the SAME POINT SET as
 /// the in-memory overload computes on the same data, every member bitwise
 /// identical (compare canonically, e.g. ordered by id). Result *order*
 /// additionally matches whenever both runs use the same partitioning —

@@ -16,10 +16,11 @@
 //   partitioning Hadoop performs when writing spill files). `partition_fn`
 //   therefore runs inside map tasks and must be pure/thread-safe.
 // * The shuffle concatenates, per reduce bucket and in map-task order, the
-//   shards every map task produced, then sorts each bucket by key
-//   (sort-merge grouping, requires operator< on the mid key). Both the
-//   scatter and the concatenation run in parallel under kThreads; the time
-//   spent building buckets is recorded as JobMetrics::shuffle_ns.
+//   shards every map task produced, then stable-sorts each bucket by key
+//   unless it is already in key order (sort-merge grouping, requires
+//   operator< on the mid key). Both the scatter and the concatenation run
+//   in parallel under kThreads; the time spent building buckets is
+//   recorded as JobMetrics::shuffle_ns.
 // * Each reduce task applies `reduce_fn` once per key group.
 //
 // Execution is sequential or thread-pooled (ExecutionMode). Under kThreads
@@ -124,11 +125,13 @@ struct RunOptions {
   /// supplies a JobConfig::spill_codec, a map task whose scattered shard
   /// volume projects the job past this budget (task bytes × map tasks >
   /// budget — a per-task-local, scheduling-independent test) writes its
-  /// shards to a temporary spill file and frees them; the shuffle streams
-  /// each bucket's records back in map-task order. Output content and order
-  /// are exactly what the in-memory shuffle produces — spilling is purely a
-  /// memory/IO trade, accounted in JobMetrics::shuffle_spilled_bytes /
-  /// shuffle_spill_files.
+  /// shards to a temporary spill file in bulk — one write per reduce bucket,
+  /// or per 32 KiB of a larger one — freeing each shard as soon as it is
+  /// written; each reduce task reads every map task's span of its bucket
+  /// back with one read and decodes it in memory, in map-task order. Output
+  /// content and order are exactly what the in-memory shuffle produces —
+  /// spilling is purely a memory/IO trade, accounted in
+  /// JobMetrics::shuffle_spilled_bytes / shuffle_spill_files.
   std::uint64_t shuffle_spill_bytes = 0;
   /// Directory for spill files; empty = std::filesystem::temp_directory_path().
   std::string spill_dir;
@@ -150,6 +153,13 @@ struct RunOptions {
 inline constexpr std::size_t kCancelPollStride = 1024;
 
 namespace detail {
+
+/// A spilling map task writes its encoded records once per reduce bucket,
+/// or once per this many bytes of a larger bucket. Capping the encode buffer
+/// (instead of growing it to the largest bucket) keeps it well under glibc's
+/// mmap threshold: buffers that are mmapped and freed raise that threshold,
+/// and with it the heap's resident high-water mark.
+inline constexpr std::size_t kSpillWriteChunk = 32 * 1024;
 
 /// Deterministic attempt-failure decision (splitmix-style avalanche).
 inline bool attempt_fails(const RunOptions& opts, const std::string& job, int phase,
@@ -412,12 +422,16 @@ struct JobConfig {
   ValueBytesFn value_bytes_fn;
 
   /// Serializer pair for mid records, enabling shuffle spill under
-  /// RunOptions::shuffle_spill_bytes. `read` must be the exact inverse of
-  /// `write` (the engine round-trips records through it verbatim). Jobs
-  /// without a codec never spill, whatever the budget.
+  /// RunOptions::shuffle_spill_bytes. `write` appends one record's bytes to
+  /// a buffer; `read` decodes one record from the front of `in` and advances
+  /// `in` past it. `read` must be the exact inverse of `write` (the engine
+  /// round-trips records through it verbatim), and must throw
+  /// mrsky::RuntimeError rather than read past the end of `in` when the
+  /// bytes are short or malformed. Jobs without a codec never spill,
+  /// whatever the budget.
   struct SpillCodec {
-    std::function<void(std::ostream&, const KV<MidK, MidV>&)> write;
-    std::function<KV<MidK, MidV>(std::istream&)> read;
+    std::function<void(std::vector<char>& out, const KV<MidK, MidV>&)> write;
+    std::function<KV<MidK, MidV>(std::span<const char>& in)> read;
   };
   SpillCodec spill_codec;
 };
@@ -608,17 +622,22 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
   std::vector<std::vector<std::vector<KV<MidK, MidV>>>> shards(num_maps);
   std::vector<std::uint64_t> task_shuffle_records(num_maps, 0);
   std::vector<std::uint64_t> task_shuffle_bytes(num_maps, 0);
+  std::vector<std::atomic<std::uint64_t>> routed(num_reduces);
 
   // ---- Shuffle spill bookkeeping (RunOptions::shuffle_spill_bytes). A map
-  // task that spills records where each bucket's records start in its file;
-  // the shuffle seeks straight to the span. ----
+  // task that spills records where each bucket's bytes start in its file
+  // and how many records they encode; the shuffle reads each span back with
+  // one read. This index lives for the whole job (map tasks × reduce
+  // buckets entries), so it stays at two words per span. ----
   const bool spill_enabled = opts.shuffle_spill_bytes > 0 &&
                              static_cast<bool>(config.spill_codec.write) &&
                              static_cast<bool>(config.spill_codec.read);
   struct SpillFile {
     std::string path;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> bucket_spans;  // offset, count
-    std::uint64_t bytes = 0;
+    /// num_reduces + 1 offsets: bucket b's span is [offsets[b], offsets[b + 1]).
+    std::vector<std::uint64_t> offsets;
+    std::vector<std::uint64_t> records;  ///< per bucket
+    [[nodiscard]] std::uint64_t bytes() const { return offsets.empty() ? 0 : offsets.back(); }
   };
   std::vector<SpillFile> spills(spill_enabled ? num_maps : 0);
   // Spill files are engine-internal temporaries: removed on every exit path,
@@ -652,7 +671,12 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
           return 1;
         });
     auto emitted = emitter.take();
+    // Routing is counted on the map output itself, before a combiner
+    // rewrites it; without one, the scattered shards are that count.
+    std::vector<std::uint64_t> combined_routed;
     if (config.combine_fn) {
+      combined_routed.assign(num_reduces, 0);
+      for (const auto& record : emitted) combined_routed[partition_of(record.key)] += 1;
       common::ScopedSpan combine_span(opts.trace, "combine", "task");
       combine_span.arg("task", t);
       combine_span.arg("records_in", emitted.size());
@@ -675,11 +699,19 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
           (config.value_bytes_fn ? config.value_bytes_fn(record.value) : sizeof(MidV));
       task_shards[partition_of(record.key)].push_back(std::move(record));
     }
+    for (std::size_t b = 0; b < num_reduces; ++b) {
+      const std::uint64_t count = config.combine_fn ? combined_routed[b] : task_shards[b].size();
+      if (count > 0) routed[b].fetch_add(count, std::memory_order_relaxed);
+    }
     if (spill_enabled && task_shuffle_bytes[t] * num_maps > opts.shuffle_spill_bytes) {
       // This task's share projects the job past the budget: persist the
-      // shards bucket-by-bucket and drop them from memory. The decision is a
+      // shards bucket-by-bucket — encoded into one reused buffer, written
+      // with one call per bucket (per kSpillWriteChunk of a larger bucket)
+      // — and free each shard as soon as it is on disk. The decision is a
       // pure function of the task's own output, so it is identical under
       // kSequential and kThreads.
+      common::ScopedSpan spill_span(opts.trace, "spill", "shuffle");
+      spill_span.arg("task", t);
       static std::atomic<std::uint64_t> spill_counter{0};
       const auto dir = opts.spill_dir.empty() ? std::filesystem::temp_directory_path()
                                               : std::filesystem::path(opts.spill_dir);
@@ -691,19 +723,34 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
                        .string();
       std::ofstream out(spill.path, std::ios::binary | std::ios::trunc);
       if (!out) MRSKY_FAIL("cannot open shuffle spill file: " + spill.path);
-      spill.bucket_spans.reserve(num_reduces);
+      spill.offsets.reserve(num_reduces + 1);
+      spill.offsets.push_back(0);
+      spill.records.reserve(num_reduces);
+      std::vector<char> encoded;
+      encoded.reserve(2 * detail::kSpillWriteChunk);
+      std::uint64_t written = 0;
+      const auto flush = [&] {
+        if (!out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()))) {
+          MRSKY_FAIL("shuffle spill write failed: " + spill.path);
+        }
+        written += encoded.size();
+        encoded.clear();
+      };
       for (std::size_t b = 0; b < num_reduces; ++b) {
-        spill.bucket_spans.emplace_back(static_cast<std::uint64_t>(out.tellp()),
-                                        task_shards[b].size());
-        for (const auto& record : task_shards[b]) config.spill_codec.write(out, record);
+        auto& shard = task_shards[b];
+        for (const auto& record : shard) {
+          config.spill_codec.write(encoded, record);
+          if (encoded.size() >= detail::kSpillWriteChunk) flush();
+        }
+        if (!encoded.empty()) flush();
+        spill.offsets.push_back(written);
+        spill.records.push_back(shard.size());
+        std::vector<KV<MidK, MidV>>().swap(shard);
       }
-      out.flush();
+      out.close();
       if (!out) MRSKY_FAIL("shuffle spill write failed: " + spill.path);
-      spill.bytes = static_cast<std::uint64_t>(out.tellp());
       std::vector<std::vector<KV<MidK, MidV>>>().swap(task_shards);
-      common::ScopedSpan spill_span(opts.trace, "spill", "shuffle");
-      spill_span.arg("task", t);
-      spill_span.arg("bytes", spill.bytes);
+      spill_span.arg("bytes", spill.bytes());
     }
     m.work_units = ctx.work_units();
     m.wall_ns = timer.elapsed_ns();
@@ -722,10 +769,12 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
     result.metrics.shuffle_records += task_shuffle_records[t];
     result.metrics.shuffle_bytes += task_shuffle_bytes[t];
     if (spill_enabled && !spills[t].path.empty()) {
-      result.metrics.shuffle_spilled_bytes += spills[t].bytes;
+      result.metrics.shuffle_spilled_bytes += spills[t].bytes();
       result.metrics.shuffle_spill_files += 1;
     }
   }
+  result.metrics.routed_records.reserve(num_reduces);
+  for (const auto& count : routed) result.metrics.routed_records.push_back(count.load());
 
   // ---- Shuffle: build each reduce bucket by concatenating the map tasks'
   // shards in map-task order — the exact sequence a sequential scatter
@@ -746,23 +795,36 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
     };
     std::size_t total = 0;
     for (std::size_t t = 0; t < num_maps; ++t) {
-      total += task_spilled(t) ? spills[t].bucket_spans[b].second : shards[t][b].size();
+      total += task_spilled(t) ? spills[t].records[b] : shards[t][b].size();
     }
     auto& bucket = buckets[b];
     bucket.reserve(total);
+    std::vector<char> span_bytes;  // one (map task, bucket) span at a time
     for (std::size_t t = 0; t < num_maps; ++t) {
       if (task_spilled(t)) {
-        // Stream the task's bucket span back from its spill file. A private
-        // ifstream per (task, bucket) keeps concurrent bucket builds safe.
-        const auto [offset, count] = spills[t].bucket_spans[b];
-        if (count == 0) continue;
-        std::ifstream in(spills[t].path, std::ios::binary);
-        if (!in) MRSKY_FAIL("cannot reopen shuffle spill file: " + spills[t].path);
-        in.seekg(static_cast<std::streamoff>(offset));
-        for (std::uint64_t r = 0; r < count; ++r) {
-          bucket.push_back(config.spill_codec.read(in));
+        // Read the task's bucket span back with one read and decode it from
+        // memory. A private ifstream per (task, bucket) keeps concurrent
+        // bucket builds safe. The span must decode to exactly its record
+        // count and end exactly at its end; the codec throws rather than
+        // read past it.
+        const SpillFile& spill = spills[t];
+        const std::uint64_t records = spill.records[b];
+        if (records == 0) continue;
+        std::ifstream in(spill.path, std::ios::binary);
+        if (!in) MRSKY_FAIL("cannot reopen shuffle spill file: " + spill.path);
+        span_bytes.resize(spill.offsets[b + 1] - spill.offsets[b]);
+        in.seekg(static_cast<std::streamoff>(spill.offsets[b]));
+        in.read(span_bytes.data(), static_cast<std::streamsize>(span_bytes.size()));
+        if (!in) MRSKY_FAIL("truncated shuffle spill file: " + spill.path);
+        std::span<const char> rest(span_bytes);
+        for (std::uint64_t r = 0; r < records; ++r) {
+          bucket.push_back(config.spill_codec.read(rest));
         }
-        if (!in) MRSKY_FAIL("truncated shuffle spill file: " + spills[t].path);
+        if (!rest.empty()) {
+          MRSKY_FAIL("corrupt shuffle spill file: " + spill.path + " (bucket " +
+                     std::to_string(b) + " decodes " + std::to_string(records) +
+                     " records with " + std::to_string(rest.size()) + " bytes left over)");
+        }
         continue;
       }
       auto& shard = shards[t][b];
@@ -806,8 +868,14 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
     }
     m.records_in = buckets[t].size();
     auto& bucket = buckets[t];
-    std::stable_sort(bucket.begin(), bucket.end(),
-                     [](const KV<MidK, MidV>& a, const KV<MidK, MidV>& b) { return a.key < b.key; });
+    const auto key_less = [](const KV<MidK, MidV>& a, const KV<MidK, MidV>& b) {
+      return a.key < b.key;
+    };
+    // A stable sort of a bucket already in key order (e.g. one holding a
+    // single key) is the identity, so skip it.
+    if (!std::is_sorted(bucket.begin(), bucket.end(), key_less)) {
+      std::stable_sort(bucket.begin(), bucket.end(), key_less);
+    }
     std::vector<std::pair<std::size_t, std::size_t>> groups;  // [first, last) runs
     for (std::size_t i = 0; i < bucket.size();) {
       std::size_t j = i + 1;

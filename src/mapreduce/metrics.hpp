@@ -75,6 +75,10 @@ struct JobMetrics {
   std::int64_t shuffle_ns = 0;            ///< wall time of the bucket-build stage
   std::uint64_t shuffle_spilled_bytes = 0;  ///< bytes written to spill files
   std::uint64_t shuffle_spill_files = 0;    ///< map tasks that spilled
+  /// Records the map functions routed to each reduce bucket (one entry per
+  /// reduce task), counted before any combine and for committed attempts
+  /// only: the map output as partition_fn saw it.
+  std::vector<std::uint64_t> routed_records;
 
   // Block-input accounting, set by pipelines that stream a DatasetSource
   // (zero for in-memory runs): payload volume actually read vs. skipped

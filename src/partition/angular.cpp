@@ -114,17 +114,19 @@ std::size_t AngularPartitioner::assign(std::span<const double> point) const {
   thread_local std::vector<double> phi;
   geo::angles_of(point, phi);
 
-  std::vector<std::size_t> cell(num_angles);
+  // The cell's row-major index over shape_ (geo::linear_index), accumulated
+  // angle by angle so assignment allocates nothing.
+  std::size_t index = 0;
   for (std::size_t k = 0; k < num_angles; ++k) {
     const auto& bounds = boundaries_[k];
     // Boundary value itself belongs to the upper sector (half-open cells).
-    cell[k] = static_cast<std::size_t>(
+    const auto cell = static_cast<std::size_t>(
         std::upper_bound(bounds.begin(), bounds.end(), phi[k]) - bounds.begin());
     // upper_bound on boundaries yields at most shape_[k]-1... plus clamping
     // guards against angles that exceed the last boundary exactly at π/2.
-    cell[k] = std::min(cell[k], shape_[k] - 1);
+    index = index * shape_[k] + std::min(cell, shape_[k] - 1);
   }
-  return geo::linear_index(cell, shape_);
+  return index;
 }
 
 const std::vector<double>& AngularPartitioner::boundaries(std::size_t angle_index) const {

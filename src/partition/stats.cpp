@@ -1,17 +1,25 @@
 #include "src/partition/stats.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "src/common/error.hpp"
 #include "src/common/stats.hpp"
 
 namespace mrsky::part {
 
-namespace {
+PartitionReport analyze_partitioning(const Partitioner& partitioner, const data::PointSet& ps) {
+  std::vector<std::size_t> sizes(partitioner.num_partitions(), 0);
+  for (std::size_t i = 0; i < ps.size(); ++i) sizes[partitioner.assign(ps.point(i))] += 1;
+  return report_from_sizes(partitioner, std::move(sizes));
+}
 
-/// Derive the summary fields from the filled `sizes` histogram — shared by
-/// the materialised and streaming analyze_partitioning overloads so they
-/// report identically on the same data.
-void finish_report(const Partitioner& partitioner, PartitionReport& report) {
+PartitionReport report_from_sizes(const Partitioner& partitioner,
+                                  std::vector<std::size_t> sizes) {
+  MRSKY_REQUIRE(sizes.size() == partitioner.num_partitions(),
+                "need one size per partition of the partitioner");
+  PartitionReport report;
+  report.sizes = std::move(sizes);
   std::vector<double> sizes_d;
   sizes_d.reserve(report.sizes.size());
   for (std::size_t s : report.sizes) {
@@ -22,37 +30,6 @@ void finish_report(const Partitioner& partitioner, PartitionReport& report) {
   report.balance_cv = common::coefficient_of_variation(sizes_d);
   report.prunable = partitioner.prunable_partitions();
   for (std::size_t p : report.prunable) report.pruned_points += report.sizes[p];
-}
-
-}  // namespace
-
-PartitionReport analyze_partitioning(const Partitioner& partitioner, const data::PointSet& ps) {
-  PartitionReport report;
-  report.sizes.assign(partitioner.num_partitions(), 0);
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    report.sizes[partitioner.assign(ps.point(i))] += 1;
-  }
-  finish_report(partitioner, report);
-  return report;
-}
-
-PartitionReport analyze_partitioning(const Partitioner& partitioner,
-                                     const data::DatasetSource& source) {
-  if (const data::PointSet* resident = source.resident()) {
-    return analyze_partitioning(partitioner, *resident);
-  }
-  PartitionReport report;
-  report.sizes.assign(partitioner.num_partitions(), 0);
-  data::PointSet scratch(source.dim());
-  for (std::size_t b = 0; b < source.block_count(); ++b) {
-    scratch.clear();
-    source.read_block(b, scratch);
-    for (std::size_t i = 0; i < scratch.size(); ++i) {
-      report.sizes[partitioner.assign(scratch.point(i))] += 1;
-    }
-    source.release_block(b);
-  }
-  finish_report(partitioner, report);
   return report;
 }
 

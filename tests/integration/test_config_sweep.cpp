@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,10 +22,13 @@
 #include "src/common/thread_pool.hpp"
 #include "src/common/trace.hpp"
 #include "src/core/mr_skyline.hpp"
+#include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
+#include "src/partition/stats.hpp"
 #include "src/service/query_engine.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/extensions.hpp"
+#include "tests/support/recording_source.hpp"
 #include "tests/support/trace_test_utils.hpp"
 
 namespace mrsky {
@@ -144,6 +149,70 @@ TEST_P(ConfigSweep, MatchesGroundTruthUnderBothModes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ConfigSweep, testing::Range<std::uint64_t>(0, 200),
+                         [](const auto& param_info) {
+                           return "case" + std::to_string(param_info.param);
+                         });
+
+/// Partition-report sweep: run_mr_skyline builds its report from job 1's own
+/// routing, so over the same cases it must equal analyze_partitioning applied
+/// to the rows job 1 streams — every point of a resident input, under both
+/// execution modes, and the rows of the surviving blocks of a streamed one —
+/// whatever the combiner, grid pruning, salting and fault-injection settings.
+class PartitionReportSweep : public testing::TestWithParam<std::uint64_t> {};
+
+void expect_same_report(const part::PartitionReport& actual,
+                        const part::PartitionReport& expected, const std::string& where) {
+  EXPECT_EQ(actual.sizes, expected.sizes) << where;
+  EXPECT_EQ(actual.non_empty, expected.non_empty) << where;
+  EXPECT_EQ(actual.largest, expected.largest) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.balance_cv),
+            std::bit_cast<std::uint64_t>(expected.balance_cv))
+      << where;
+  EXPECT_EQ(actual.prunable, expected.prunable) << where;
+  EXPECT_EQ(actual.pruned_points, expected.pruned_points) << where;
+}
+
+TEST_P(PartitionReportSweep, ReportMatchesAnalysisOfTheRowsJobOneStreams) {
+  SweepCase c = make_case(GetParam());
+  part::PartitionerOptions popts;
+  popts.num_partitions = c.config.effective_partitions();
+  popts.split_dim = c.config.split_dim;
+  const part::PartitionerPtr partitioner = part::make_partitioner(c.config.scheme, popts);
+  partitioner->fit(c.points);
+  c.config.prepared_partitioner = partitioner.get();
+
+  const part::PartitionReport expected = part::analyze_partitioning(*partitioner, c.points);
+  static common::ThreadPool pool(4);
+  c.config.run_options.mode = mr::ExecutionMode::kSequential;
+  expect_same_report(core::run_mr_skyline(c.points, c.config).partition_report, expected,
+                     c.description + " (kSequential)");
+  c.config.run_options.mode = mr::ExecutionMode::kThreads;
+  c.config.run_options.pool = &pool;
+  expect_same_report(core::run_mr_skyline(c.points, c.config).partition_report, expected,
+                     c.description + " (kThreads)");
+
+  // Streamed from Z-ordered 16-row blocks, so some cases prune blocks.
+  const std::string path =
+      testing::TempDir() + "/report_sweep_" + std::to_string(GetParam()) + ".mrb";
+  data::write_block_store(path, c.points.select(data::zorder_permutation(c.points)), 16);
+  const data::BlockStoreSource store(path);
+  const test::RecordingSource source(store);
+  c.config.run_options.mode = mr::ExecutionMode::kSequential;
+  c.config.run_options.pool = nullptr;
+  const auto streamed = core::run_mr_skyline(source, c.config);
+  const auto read = source.job_reads();
+  const std::set<std::size_t> surviving_blocks(read.begin(), read.end());
+  EXPECT_EQ(surviving_blocks.size(), store.block_count() - streamed.partition_job.blocks_pruned)
+      << c.description;
+  data::PointSet surviving(c.points.dim());
+  for (const std::size_t b : surviving_blocks) store.read_block(b, surviving);
+  expect_same_report(streamed.partition_report,
+                     part::analyze_partitioning(*partitioner, surviving),
+                     c.description + " (streamed)");
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, PartitionReportSweep, testing::Range<std::uint64_t>(0, 200),
                          [](const auto& param_info) {
                            return "case" + std::to_string(param_info.param);
                          });
