@@ -52,7 +52,7 @@ BENCHMARK(BM_CompareThreeWay)->Arg(2)->Arg(10);
 
 // ---- Scalar-vs-block dominance kernel (run via scripts/ci_perf_smoke.sh
 // with --benchmark_out to land machine-readable JSON in experiment_results/).
-// Both variants scan one candidate against a full 512-point window — the BNL
+// Every variant scans one candidate against a full 512-point window — the BNL
 // survivor case, where no early dominator cuts the scan short — so the ratio
 // isolates kernel throughput from algorithmic early exits.
 
@@ -78,7 +78,15 @@ void BM_DominanceWindowScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_DominanceWindowScalar)->Arg(4)->Arg(9);
 
-void BM_DominanceWindowBlock(benchmark::State& state) {
+// The tiled kernels, as dispatched (AVX2 where the CPU has it) and as the
+// portable loop called directly, so one binary measures both paths. The
+// label names the path the run took.
+const char* dispatched_label() {
+  return skyline::compare_block_simd_active() ? "pairs/s avx2" : "pairs/s scalar-tile";
+}
+
+template <typename Kernel>
+void window_block(benchmark::State& state, Kernel kernel) {
   const auto dim = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kWindow = 512;
   const auto ps = workload(kWindow + 256, dim);
@@ -89,7 +97,7 @@ void BM_DominanceWindowBlock(benchmark::State& state) {
     const auto p = ps.point(kWindow + c % 256);
     std::uint32_t acc = 0;
     for (std::size_t t = 0; t < window.tiles(); ++t) {
-      const skyline::TileMasks m = skyline::compare_block(p.data(), window.tile_data(t), dim);
+      const skyline::TileMasks m = kernel(p.data(), window.tile_data(t), dim);
       acc += m.lt ^ m.gt;
     }
     benchmark::DoNotOptimize(acc);
@@ -97,12 +105,23 @@ void BM_DominanceWindowBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWindow));
-  state.SetLabel(skyline::compare_block_simd_active() ? "pairs/s avx2" : "pairs/s scalar-tile");
+}
+
+void BM_DominanceWindowBlock(benchmark::State& state) {
+  window_block(state, skyline::compare_block);
+  state.SetLabel(dispatched_label());
 }
 BENCHMARK(BM_DominanceWindowBlock)->Arg(4)->Arg(9);
 
-void BM_DominatorProbeBlock(benchmark::State& state) {
-  // The one-directional probe (SFS / D&C cross-filter): alive-lane early exit.
+void BM_DominanceWindowBlockPortable(benchmark::State& state) {
+  window_block(state, skyline::compare_block_scalar);
+  state.SetLabel("pairs/s scalar-tile");
+}
+BENCHMARK(BM_DominanceWindowBlockPortable)->Arg(4)->Arg(9);
+
+// The one-directional probe (SFS / D&C cross-filter): alive-lane early exit.
+template <typename Kernel>
+void dominator_probe_block(benchmark::State& state, Kernel kernel) {
   const auto dim = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kWindow = 512;
   const auto ps = workload(kWindow + 256, dim);
@@ -113,7 +132,7 @@ void BM_DominatorProbeBlock(benchmark::State& state) {
     const auto p = ps.point(kWindow + c % 256);
     std::uint32_t acc = 0;
     for (std::size_t t = 0; t < window.tiles(); ++t) {
-      acc += skyline::dominators_in_block(p.data(), window.tile_data(t), dim);
+      acc += kernel(p.data(), window.tile_data(t), dim);
     }
     benchmark::DoNotOptimize(acc);
     ++c;
@@ -121,7 +140,18 @@ void BM_DominatorProbeBlock(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWindow));
 }
+
+void BM_DominatorProbeBlock(benchmark::State& state) {
+  dominator_probe_block(state, skyline::dominators_in_block);
+  state.SetLabel(dispatched_label());
+}
 BENCHMARK(BM_DominatorProbeBlock)->Arg(4)->Arg(9);
+
+void BM_DominatorProbeBlockPortable(benchmark::State& state) {
+  dominator_probe_block(state, skyline::dominators_in_block_scalar);
+  state.SetLabel("pairs/s scalar-tile");
+}
+BENCHMARK(BM_DominatorProbeBlockPortable)->Arg(4)->Arg(9);
 
 // Corner-prefilter ablation. The prefilter engages hardest in the D&C
 // cross-filter, whose many small against-windows have tight corners (on qws

@@ -3,71 +3,60 @@
 #
 #   ./scripts/ci_perf_smoke.sh [results-dir]
 #
-# Builds two release trees — the portable scalar-tile build and the
-# MRSKY_NATIVE (AVX2, runtime-dispatched) build — runs the kernel unit tests
-# in the native tree, lands the micro-benchmark timings as machine-readable
-# JSON under experiment_results/, and drives the mrsky CLI end to end in both
-# trees, failing if their skylines diverge by a single byte. Wall-clock
-# numbers are recorded, not asserted: thresholds are meaningless on shared CI
-# boxes; byte-identity of the results is the hard gate.
+# Builds one release tree, runs the kernel unit tests — among them the
+# in-process identity test that runs the CLI's pipeline on the AVX2 path and
+# on the forced portable loop and requires bitwise-equal skylines and equal
+# counters — lands the micro-benchmark timings of both kernel paths as
+# machine-readable JSON under experiment_results/, and drives the mrsky CLI
+# end to end, failing if bnl, sfs and dc disagree by a single byte.
+# Wall-clock numbers are recorded, not asserted: thresholds are meaningless
+# on shared CI boxes; byte-identity of the results is the hard gate.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 RESULTS="${1:-$ROOT/experiment_results}"
+BUILD="$ROOT/build-perf"
 mkdir -p "$RESULTS"
 
-build_tree() {
-  local dir="$1" native="$2"
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DMRSKY_NATIVE="$native" \
-    -DMRSKY_BUILD_TESTS=ON \
-    -DMRSKY_BUILD_BENCH=ON \
-    -DMRSKY_BUILD_EXAMPLES=OFF
-  cmake --build "$dir" -j --target micro_kernels mrsky mrsky_tests bench_query_engine ablation_planner bench_stream bench_out_of_core
-}
+cmake -B "$BUILD" -S "$ROOT" \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DMRSKY_BUILD_TESTS=ON \
+  -DMRSKY_BUILD_BENCH=ON \
+  -DMRSKY_BUILD_EXAMPLES=OFF
+cmake --build "$BUILD" -j --target micro_kernels mrsky mrsky_tests bench_query_engine ablation_planner bench_stream bench_out_of_core
 
-build_tree "$ROOT/build-perf-scalar" OFF
-build_tree "$ROOT/build-perf-native" ON
-
-# Kernel correctness in the native tree (the scalar tree runs these in the
-# regular ctest gate): SIMD-vs-scalar property tests plus the golden
-# dominance-test counters the simulator's time model depends on.
-"$ROOT/build-perf-native/tests/mrsky_tests" \
+# Kernel correctness: AVX2-vs-portable property tests, the pipeline identity
+# test (DominanceBlock.SimdToggleChangesNeitherPipelineResultsNorCounters;
+# it skips on a CPU without AVX2, where only the portable loop exists) and
+# the golden dominance-test counters the simulator's time model depends on.
+"$BUILD/tests/mrsky_tests" \
   --gtest_filter='DominanceBlock*:DominanceBlockGolden*:TiledWindow*'
 
-BENCH_FILTER='BM_DominanceWindow|BM_DominatorProbe|BM_PrefilterAblation'
-for kind in scalar native; do
-  "$ROOT/build-perf-$kind/bench/micro_kernels" \
-    --benchmark_filter="$BENCH_FILTER" \
-    --benchmark_min_time=0.2 \
-    --benchmark_out="$RESULTS/micro_kernels_$kind.json" \
-    --benchmark_out_format=json
-done
+# One binary measures both kernel paths: BM_*Block is the dispatched path
+# (its label says avx2 or scalar-tile), BM_*BlockPortable the portable loop.
+"$BUILD/bench/micro_kernels" \
+  --benchmark_filter='BM_DominanceWindow|BM_DominatorProbe|BM_PrefilterAblation' \
+  --benchmark_min_time=0.2 \
+  --benchmark_out="$RESULTS/micro_kernels.json" \
+  --benchmark_out_format=json
 
-# End-to-end divergence gate: same dataset, same pipeline, both builds must
-# emit byte-identical skylines. (Sequential-vs-threaded identity is covered
-# by DominanceBlock.PipelineSequentialAndThreadedAreByteIdentical above.)
+# End-to-end agreement gate: same dataset, same pipeline, every local
+# algorithm must emit a byte-identical skyline. (Sequential-vs-threaded
+# identity is covered by
+# DominanceBlock.PipelineSequentialAndThreadedAreByteIdentical above.)
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-"$ROOT/build-perf-scalar/tools/mrsky" generate \
+"$BUILD/tools/mrsky" generate \
   --output "$WORK/data.csv" --n 20000 --dim 6 --qws --seed 2012
 
 for algo in bnl sfs dc; do
-  "$ROOT/build-perf-scalar/tools/mrsky" skyline --input "$WORK/data.csv" \
+  "$BUILD/tools/mrsky" skyline --input "$WORK/data.csv" \
     --scheme angular --servers 8 --algorithm "$algo" \
-    --output "$WORK/sky_scalar_$algo.csv"
-  "$ROOT/build-perf-native/tools/mrsky" skyline --input "$WORK/data.csv" \
-    --scheme angular --servers 8 --algorithm "$algo" \
-    --output "$WORK/sky_native_$algo.csv"
-  if ! cmp -s "$WORK/sky_scalar_$algo.csv" "$WORK/sky_native_$algo.csv"; then
-    echo "FAIL: $algo skyline diverged between scalar and native builds" >&2
-    diff "$WORK/sky_scalar_$algo.csv" "$WORK/sky_native_$algo.csv" | head >&2
-    exit 1
-  fi
-  if ! cmp -s "$WORK/sky_scalar_bnl.csv" "$WORK/sky_scalar_$algo.csv"; then
-    echo "FAIL: $algo skyline diverged from bnl within the scalar build" >&2
+    --output "$WORK/sky_$algo.csv"
+  if ! cmp -s "$WORK/sky_bnl.csv" "$WORK/sky_$algo.csv"; then
+    echo "FAIL: $algo skyline diverged from bnl" >&2
+    diff "$WORK/sky_bnl.csv" "$WORK/sky_$algo.csv" | head >&2
     exit 1
   fi
 done
@@ -76,7 +65,7 @@ done
 # workload a warm repeated query must be at least 5x faster than its cold
 # first execution — the result cache is the engine's contract, so unlike the
 # wall-clock timings above this *ratio* is asserted, not just recorded.
-"$ROOT/build-perf-scalar/bench/bench_query_engine" \
+"$BUILD/bench/bench_query_engine" \
   --cardinality 20000 --dim 6 --seed 2012 --repeats 5 \
   --json "$RESULTS/query_engine.json" \
   --check --min-warm-speedup 5
@@ -86,7 +75,7 @@ done
 # static scheme on every workload family, with bitwise-identical skylines and
 # bounded planning overhead. Asserted (--check), and the sweep is landed as
 # machine-readable JSON next to the other perf results.
-"$ROOT/build-perf-scalar/bench/ablation_planner" \
+"$BUILD/bench/ablation_planner" \
   --cardinality 60000 --dim 5 --seed 2012 --repeats 3 \
   --json "$RESULTS/planner_sweep.json" \
   --check
@@ -96,7 +85,7 @@ done
 # must process events at >= 5x the recompute baseline's rate, with the final
 # skylines bitwise identical (that identity is asserted unconditionally
 # inside the bench, before the ratio gate).
-"$ROOT/build-perf-scalar/bench/bench_stream" \
+"$BUILD/bench/bench_stream" \
   --cardinality 12000 --dim 4 --ticks 200 --seed 2012 \
   --json "$RESULTS/stream_sweep.json" \
   --check --min-speedup 5
@@ -111,17 +100,17 @@ done
 # identical to the resident baseline.
 OOC="$WORK/out_of_core"
 mkdir -p "$OOC"
-"$ROOT/build-perf-scalar/bench/bench_out_of_core" --mode generate \
+"$BUILD/bench/bench_out_of_core" --mode generate \
   --cardinality 4500000 --dim 4 --seed 2012 --block-rows 2048 \
   --file "$OOC/data.mrb"
-"$ROOT/build-perf-scalar/bench/bench_out_of_core" --mode memory \
+"$BUILD/bench/bench_out_of_core" --mode memory \
   --file "$OOC/data.mrb" --baseline "$OOC/skyline.mrsk" \
   --partitions 512 --map-tasks 512
-"$ROOT/build-perf-scalar/bench/bench_out_of_core" --mode block \
+"$BUILD/bench/bench_out_of_core" --mode block \
   --file "$OOC/data.mrb" --baseline "$OOC/skyline.mrsk" \
   --partitions 512 --map-tasks 512 --threads 2 \
   --spill-bytes $((8 * 1024 * 1024)) --rss-cap-mb 38 \
   --json "$RESULTS/out_of_core.json" \
   --check
 
-echo "== perf smoke passed: results identical; timings in $RESULTS/micro_kernels_{scalar,native}.json, $RESULTS/query_engine.json, $RESULTS/planner_sweep.json, $RESULTS/stream_sweep.json and $RESULTS/out_of_core.json"
+echo "== perf smoke passed: results identical; timings in $RESULTS/micro_kernels.json, $RESULTS/query_engine.json, $RESULTS/planner_sweep.json, $RESULTS/stream_sweep.json and $RESULTS/out_of_core.json"

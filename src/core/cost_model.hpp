@@ -9,9 +9,9 @@
 //
 //  * `CostModel::process()` calibrates once per process with a microbenchmark
 //    probe (a timed BNL skyline for the dominance-test rate, a timed
-//    assign/copy loop for the record rates), because the constants differ by
-//    an order of magnitude between -O2 scalar, MRSKY_NATIVE and sanitizer
-//    builds;
+//    assign/copy loop for the record rates), because the constants depend on
+//    the kernel path the CPU dispatches (portable or AVX2) and differ by an
+//    order of magnitude in sanitizer builds;
 //  * every observed pipeline run can then refine the dominance-test constant
 //    through `observe_run` (EWMA over wall / work), so a long-lived server
 //    converges onto its real rate under whatever load surrounds it;
@@ -65,8 +65,9 @@ class CostModel {
   [[nodiscard]] std::uint64_t observations() const;
 
   /// The process-wide model: probe-calibrated on first use, refined by every
-  /// observed `scheme=auto` pipeline run. Ratios reflect this binary (scalar
-  /// vs MRSKY_NATIVE vs sanitizer builds differ by ~an order of magnitude).
+  /// observed `scheme=auto` pipeline run. Ratios reflect this process (the
+  /// kernel path the CPU dispatches, and sanitizer builds, move them by up to
+  /// an order of magnitude).
   [[nodiscard]] static CostModel& process();
 
   /// Runs the calibration microbenchmark (~1 ms) and returns the measured

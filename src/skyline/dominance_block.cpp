@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
-#if defined(MRSKY_NATIVE) && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
 #define MRSKY_HAVE_AVX2_PATH 1
 #include <immintrin.h>
 #else
@@ -67,37 +66,49 @@ __attribute__((target("avx2"))) std::uint32_t dominators_in_block_avx2(
   return alive & strict;
 }
 
+#endif  // MRSKY_HAVE_AVX2_PATH
+
 bool cpu_has_avx2() noexcept {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported;
+#if MRSKY_HAVE_AVX2_PATH
+  // Called from a static initializer, which may run before libgcc has read
+  // the CPU model itself.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
 }
 
-#endif  // MRSKY_HAVE_AVX2_PATH
+// The path both kernels dispatch to: AVX2 iff the CPU has it and
+// set_simd_enabled(false) is not in force. Resolved once at load time so a
+// call pays one relaxed load; a kernel call made before this initializer
+// runs reads false and takes the portable loop, which gives the same masks.
+std::atomic<bool> g_avx2_active{cpu_has_avx2()};
 
 }  // namespace
 
 TileMasks compare_block(const double* p, const double* tile, std::size_t dim) noexcept {
 #if MRSKY_HAVE_AVX2_PATH
-  if (cpu_has_avx2()) return compare_block_avx2(p, tile, dim);
+  if (g_avx2_active.load(std::memory_order_relaxed)) return compare_block_avx2(p, tile, dim);
 #endif
   return compare_block_scalar(p, tile, dim);
 }
 
 std::uint32_t dominators_in_block(const double* p, const double* tile, std::size_t dim) noexcept {
 #if MRSKY_HAVE_AVX2_PATH
-  if (cpu_has_avx2()) return dominators_in_block_avx2(p, tile, dim);
+  if (g_avx2_active.load(std::memory_order_relaxed)) {
+    return dominators_in_block_avx2(p, tile, dim);
+  }
 #endif
   return dominators_in_block_scalar(p, tile, dim);
 }
 
-bool compare_block_simd_compiled() noexcept { return MRSKY_HAVE_AVX2_PATH != 0; }
-
 bool compare_block_simd_active() noexcept {
-#if MRSKY_HAVE_AVX2_PATH
-  return cpu_has_avx2();
-#else
-  return false;
-#endif
+  return g_avx2_active.load(std::memory_order_relaxed);
+}
+
+void set_simd_enabled(bool enabled) noexcept {
+  g_avx2_active.store(enabled && cpu_has_avx2(), std::memory_order_relaxed);
 }
 
 void set_prefilter_enabled(bool enabled) noexcept {

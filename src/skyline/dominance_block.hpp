@@ -8,9 +8,9 @@
 //   * TiledWindow keeps the BNL/SFS survivor set as contiguous
 //     attribute-major tiles of kTileWidth points (SoA within a tile), so one
 //     candidate is tested against a whole tile with branch-light min/max-mask
-//     loops the compiler can auto-vectorize. An AVX2 variant is compiled
-//     behind the MRSKY_NATIVE CMake option and selected at runtime via cpuid;
-//     the scalar tile loop is always available as the fallback.
+//     loops the compiler can auto-vectorize. Every x86 GCC/Clang build also
+//     compiles an AVX2 variant, selected per process via cpuid; the portable
+//     tile loop is always available as the fallback.
 //   * compare_block(p, tile, dim) returns per-lane `lt`/`gt` bitmasks from
 //     which every DomRelation is derived: lane j has p ≺ q_j iff
 //     lt_j & ~gt_j, p ≻ q_j iff gt_j & ~lt_j, equality iff neither bit.
@@ -94,8 +94,8 @@ struct TileMasks {
 }
 
 /// Tests candidate `p` (dim contiguous doubles) against one attribute-major
-/// tile of kTileWidth points. Dispatches to AVX2 when the build enabled
-/// MRSKY_NATIVE and the CPU supports it; otherwise the scalar tile loop.
+/// tile of kTileWidth points. Dispatches to AVX2 when the build is x86
+/// GCC/Clang and the CPU supports it; otherwise the portable tile loop.
 [[nodiscard]] TileMasks compare_block(const double* p, const double* tile,
                                       std::size_t dim) noexcept;
 
@@ -105,10 +105,15 @@ struct TileMasks {
 [[nodiscard]] std::uint32_t dominators_in_block(const double* p, const double* tile,
                                                 std::size_t dim) noexcept;
 
-/// True iff this binary was built with the MRSKY_NATIVE SIMD path compiled in.
-[[nodiscard]] bool compare_block_simd_compiled() noexcept;
-/// True iff compare_block actually dispatches to the SIMD path at runtime.
+/// True iff compare_block and dominators_in_block dispatch to the AVX2 path
+/// at runtime (see set_simd_enabled).
 [[nodiscard]] bool compare_block_simd_active() noexcept;
+
+/// Test hook: false sends compare_block and dominators_in_block to the
+/// portable tile loop process-wide, so one binary can check both paths end
+/// to end; true (the default) restores AVX2 where the CPU has it. Both paths
+/// return identical masks, so flipping this is safe between skyline calls.
+void set_simd_enabled(bool enabled) noexcept;
 
 /// Bench/test hook: disable the min/max-corner prefilter globally (default
 /// on). The prefilter never changes results or dominance_tests, only wall

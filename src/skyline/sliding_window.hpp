@@ -22,7 +22,7 @@
 // replaced (algorithms.cpp convention): pairs up to and including the first
 // dominator in the dominated-check, all pairs in the keep-scan, and the full
 // would-be scan when the corner prefilter answers without touching tiles —
-// so fixed-seed golden counts are identical across scalar and native builds.
+// so fixed-seed golden counts are identical on the portable and AVX2 paths.
 #pragma once
 
 #include <cstddef>

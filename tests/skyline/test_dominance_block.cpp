@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -115,9 +116,9 @@ TEST(DominanceBlock, MasksMatchScalarCompareOnRandomTiles) {
 }
 
 TEST(DominanceBlock, DispatchAgreesWithScalarTileKernel) {
-  // Whatever path compare_block dispatches to (AVX2 under MRSKY_NATIVE on a
-  // capable CPU, the portable loop otherwise) must be bit-identical to the
-  // always-available scalar tile kernel.
+  // Whatever path compare_block dispatches to (AVX2 in every x86 GCC/Clang
+  // build on a capable CPU, the portable loop otherwise) must be
+  // bit-identical to the always-available portable tile kernel.
   const auto ps = data::generate(data::Distribution::kAnticorrelated, 400, 7, 21);
   common::Rng rng(22);
   for (std::size_t trial = 0; trial < 300; ++trial) {
@@ -134,9 +135,6 @@ TEST(DominanceBlock, DispatchAgreesWithScalarTileKernel) {
     ASSERT_EQ(a.gt, b.gt);
     ASSERT_EQ(dominators_in_block(p.data(), tile.data(), ps.dim()),
               dominators_in_block_scalar(p.data(), tile.data(), ps.dim()));
-  }
-  if (compare_block_simd_compiled()) {
-    SUCCEED() << "SIMD path compiled, active=" << compare_block_simd_active();
   }
 }
 
@@ -274,7 +272,8 @@ void expect_identical(const PointSet& a, const PointSet& b, const char* what) {
     const auto pa = a.point(i);
     const auto pb = b.point(i);
     for (std::size_t d = 0; d < a.dim(); ++d) {
-      ASSERT_EQ(pa[d], pb[d]) << what << " row " << i << " attr " << d;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pa[d]), std::bit_cast<std::uint64_t>(pb[d]))
+          << what << " row " << i << " attr " << d;
     }
   }
 }
@@ -308,6 +307,105 @@ TEST(DominanceBlock, PrefilterToggleChangesNeitherResultsNorCounters) {
   const PointSet dc = compute_skyline(ps, Algorithm::kDivideConquer, &stats);
   EXPECT_FALSE(dc.empty());
   EXPECT_GT(stats.prefilter_skips, 0u);
+}
+
+// ---- Kernel dispatch: AVX2 and the portable loop in one binary ----------
+
+/// Whether this CPU can run the AVX2 kernels, asked without going through
+/// the library's dispatch.
+bool cpu_has_avx2() {
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+/// Forces the portable tile loop for its lifetime and restores the path
+/// dispatched before it on every exit from the scope.
+class PortableKernelScope {
+ public:
+  PortableKernelScope() { set_simd_enabled(false); }
+  ~PortableKernelScope() { set_simd_enabled(saved_); }
+  PortableKernelScope(const PortableKernelScope&) = delete;
+  PortableKernelScope& operator=(const PortableKernelScope&) = delete;
+
+ private:
+  bool saved_ = compare_block_simd_active();
+};
+
+TEST(DominanceBlock, DispatchesToAvx2ExactlyWhenTheCpuHasIt) {
+  EXPECT_EQ(compare_block_simd_active(), cpu_has_avx2());
+  {
+    const PortableKernelScope portable;
+    EXPECT_FALSE(compare_block_simd_active());
+  }
+  EXPECT_EQ(compare_block_simd_active(), cpu_has_avx2());
+}
+
+/// One run of the CLI's `mrsky skyline --scheme angular --servers 8
+/// --algorithm <algo>` pipeline. The override runs the kernel the pipeline
+/// picks from local_algorithm anyway; it only sums each call's stats, since
+/// the job metrics keep dominance_tests (as work units) but not
+/// prefilter_skips.
+struct PipelineRun {
+  core::MRSkylineResult result;
+  SkylineStats stats;
+};
+
+PipelineRun run_cli_pipeline(const PointSet& ps, Algorithm algo) {
+  PipelineRun run;
+  core::MRSkylineConfig config;
+  config.scheme = part::Scheme::kAngular;
+  config.servers = 8;
+  config.local_algorithm = algo;
+  config.local_skyline_override = [&run, algo](const PointSet& points, SkylineStats* stats) {
+    SkylineStats call;
+    PointSet sky = compute_skyline(points, algo, &call);
+    if (stats != nullptr) *stats += call;
+    run.stats += call;
+    return sky;
+  };
+  run.result = core::run_mr_skyline(ps, config);
+  return run;
+}
+
+void expect_same_work(const mr::JobMetrics& a, const mr::JobMetrics& b, const std::string& what) {
+  ASSERT_EQ(a.map_tasks.size(), b.map_tasks.size()) << what;
+  ASSERT_EQ(a.reduce_tasks.size(), b.reduce_tasks.size()) << what;
+  for (std::size_t t = 0; t < a.map_tasks.size(); ++t) {
+    EXPECT_EQ(a.map_tasks[t].work_units, b.map_tasks[t].work_units) << what << " map " << t;
+  }
+  for (std::size_t t = 0; t < a.reduce_tasks.size(); ++t) {
+    EXPECT_EQ(a.reduce_tasks[t].work_units, b.reduce_tasks[t].work_units)
+        << what << " reduce " << t;
+  }
+}
+
+TEST(DominanceBlock, SimdToggleChangesNeitherPipelineResultsNorCounters) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this CPU: only the portable loop runs";
+  // The QWS-like set the perf smoke's CLI identity check generates.
+  const auto ps = qws_like(20000, 6, 2012);
+  for (auto algo : {Algorithm::kBnl, Algorithm::kSfs, Algorithm::kDivideConquer}) {
+    const std::string name = to_string(algo);
+    ASSERT_TRUE(compare_block_simd_active()) << name;
+    const PipelineRun avx2 = run_cli_pipeline(ps, algo);
+    PipelineRun portable;
+    {
+      const PortableKernelScope scope;
+      ASSERT_FALSE(compare_block_simd_active()) << name;
+      portable = run_cli_pipeline(ps, algo);
+    }
+    expect_identical(avx2.result.skyline, portable.result.skyline, name.c_str());
+    EXPECT_EQ(avx2.stats.dominance_tests, portable.stats.dominance_tests) << name;
+    EXPECT_EQ(avx2.stats.prefilter_skips, portable.stats.prefilter_skips) << name;
+    expect_same_work(avx2.result.partition_job, portable.result.partition_job, name + " job 1");
+    ASSERT_EQ(avx2.result.merge_rounds.size(), portable.result.merge_rounds.size()) << name;
+    for (std::size_t r = 0; r < avx2.result.merge_rounds.size(); ++r) {
+      expect_same_work(avx2.result.merge_rounds[r], portable.result.merge_rounds[r],
+                       name + " merge round " + std::to_string(r + 1));
+    }
+  }
 }
 
 TEST(DominanceBlock, PipelineSequentialAndThreadedAreByteIdentical) {
