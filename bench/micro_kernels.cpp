@@ -252,7 +252,8 @@ void BM_PartitionAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionAssign<part::DimensionalPartitioner>)->Arg(10);
 BENCHMARK(BM_PartitionAssign<part::GridPartitioner>)->Arg(10);
-BENCHMARK(BM_PartitionAssign<part::AngularPartitioner>)->Arg(10);
+// d = 2 and 4 are the serve-churn subspace and out-of-core job shapes.
+BENCHMARK(BM_PartitionAssign<part::AngularPartitioner>)->Arg(2)->Arg(4)->Arg(10);
 
 }  // namespace
 

@@ -34,8 +34,9 @@ cmake --build "$BUILD" -j --target micro_kernels mrsky mrsky_tests bench_query_e
 
 # One binary measures both kernel paths: BM_*Block is the dispatched path
 # (its label says avx2 or scalar-tile), BM_*BlockPortable the portable loop.
+# BM_PartitionAssign times the map side's sector lookup per scheme.
 "$BUILD/bench/micro_kernels" \
-  --benchmark_filter='BM_DominanceWindow|BM_DominatorProbe|BM_PrefilterAblation' \
+  --benchmark_filter='BM_DominanceWindow|BM_DominatorProbe|BM_PrefilterAblation|BM_PartitionAssign' \
   --benchmark_min_time=0.2 \
   --benchmark_out="$RESULTS/micro_kernels.json" \
   --benchmark_out_format=json

@@ -70,6 +70,11 @@ FILTER+=':BlockStore*:DatasetSource*:*OutOfCoreSweep*'
 # span read buffers and the routing tallies under kThreads (TSan), and the
 # single-pass streamed reads.
 FILTER+=':ShuffleSpill*:RoutedRecords*:StreamedReads*:PipelineSpill*:*PartitionReportSweep*'
+# MR-Angle's tangent-space sector lookup: the per-boundary bracket scans and
+# the atan2 fallback (ASan/UBSan), and the lookup's differential suite
+# against the atan2 oracle, plus the partitioner contracts around it.
+FILTER+=':AngularPartitioner*:AngularRadialPartitioner*:*PartitionerContract*:Hyperspherical*'
+FILTER+=':AngularSectorLookup*'
 
 if [[ "$KIND" == "thread" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"

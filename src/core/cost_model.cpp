@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "src/common/timer.hpp"
 #include "src/dataset/generators.hpp"
+#include "src/mapreduce/keyvalue.hpp"
 #include "src/partition/angular.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/estimate.hpp"
@@ -80,11 +83,46 @@ CostConstants CostModel::calibrate_by_probe() {
     if (seconds > 0.0 && sink != static_cast<std::size_t>(-1)) {
       measured.seconds_per_assign_dim = seconds / assigns_times_dim;
     }
-    // A shuffled record is materialised (id + coords copy) and bucketed —
-    // model it as the cost of copying the point a couple of times.
-    measured.seconds_per_shuffle_record =
-        std::max(measured.seconds_per_assign_dim * static_cast<double>(probe.dim()) * 4.0,
-                 1e-8);
+  }
+
+  {
+    // A shuffled record, timed along the pipeline's record path rather than
+    // derived from the assign rate: the map copies the point into an id +
+    // coordinates record (mr_skyline.cpp's PointRec) and emits it, the
+    // shuffle moves it into its reduce bucket and stable-sorts the bucket by
+    // key, and the reducer copies it into a row-major PointSet and frees it.
+    struct Record {
+      data::PointId id = 0;
+      std::vector<double> coords;
+    };
+    constexpr std::size_t kBuckets = 8;
+    constexpr std::size_t kPasses = 4;
+    common::Timer timer;
+    std::size_t sink = 0;
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      mr::Emitter<std::size_t, Record> out;
+      for (std::size_t i = 0; i < probe.size(); ++i) {
+        const auto coords = probe.point(i);
+        out.emit(i % kBuckets, Record{probe.id(i), {coords.begin(), coords.end()}});
+      }
+      std::vector<std::vector<mr::KV<std::size_t, Record>>> buckets(kBuckets);
+      for (auto& kv : out.take()) buckets[kv.key].push_back(std::move(kv));
+      for (auto& bucket : buckets) {
+        std::stable_sort(bucket.begin(), bucket.end(),
+                         [](const auto& a, const auto& b) { return a.key < b.key; });
+      }
+      data::PointSet rows(probe.dim());
+      for (const auto& bucket : buckets) {
+        rows.clear();
+        for (const auto& kv : bucket) rows.push_back(kv.value.coords, kv.value.id);
+        sink += rows.size();
+      }
+    }
+    const double seconds = timer.elapsed_seconds();
+    const double records = static_cast<double>(kPasses * probe.size());
+    if (seconds > 0.0 && sink == kPasses * probe.size()) {
+      measured.seconds_per_shuffle_record = seconds / records;
+    }
   }
 
   return measured;

@@ -8,10 +8,11 @@
 // right for the running binary, not that any absolute second is exact:
 //
 //  * `CostModel::process()` calibrates once per process with a microbenchmark
-//    probe (a timed BNL skyline for the dominance-test rate, a timed
-//    assign/copy loop for the record rates), because the constants depend on
-//    the kernel path the CPU dispatches (portable or AVX2) and differ by an
-//    order of magnitude in sanitizer builds;
+//    probe (a timed BNL skyline for the dominance-test rate, a timed assign
+//    loop for the map rate, and records built, bucketed and copied out the
+//    way the pipeline does for the shuffle rate), because the constants
+//    depend on the kernel path the CPU dispatches (portable or AVX2) and
+//    differ by an order of magnitude in sanitizer builds;
 //  * every observed pipeline run can then refine the dominance-test constant
 //    through `observe_run` (EWMA over wall / work), so a long-lived server
 //    converges onto its real rate under whatever load surrounds it;

@@ -6,34 +6,26 @@
 
 namespace mrsky::geo {
 
-namespace {
-
-void check_input(std::span<const double> v) {
+void require_transform_domain(std::span<const double> v) {
   MRSKY_REQUIRE(!v.empty(), "hyperspherical transform needs at least one coordinate");
   for (double x : v) {
     MRSKY_REQUIRE(x >= 0.0, "hyperspherical transform requires non-negative coordinates");
   }
 }
 
-}  // namespace
-
 void angles_of(std::span<const double> v, std::vector<double>& phi_out) {
-  check_input(v);
-  const std::size_t n = v.size();
-  phi_out.resize(n - 1);
-  // Suffix sums of squares computed back-to-front: tail_k = vn² + ... + v(k+1)².
-  double tail = 0.0;
-  for (std::size_t k = n; k-- > 1;) {
-    tail += v[k] * v[k];
+  require_transform_domain(v);
+  phi_out.resize(v.size() - 1);
+  for_each_suffix_square_sum(v, [&](std::size_t k, double tail) {
     // atan2 handles vk == 0 (angle π/2) and tail == 0 (angle 0); the all-zero
     // prefix case atan2(0, 0) yields 0, a stable convention for duplicates
     // of the origin.
     phi_out[k - 1] = std::atan2(std::sqrt(tail), v[k - 1]);
-  }
+  });
 }
 
 HypersphericalCoords to_hyperspherical(std::span<const double> v) {
-  check_input(v);
+  require_transform_domain(v);
   HypersphericalCoords out;
   double sum_sq = 0.0;
   for (double x : v) sum_sq += x * x;

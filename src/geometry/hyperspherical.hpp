@@ -10,6 +10,7 @@
 // full quality range from near-origin (good) to far (poor) services.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -27,6 +28,24 @@ struct HypersphericalCoords {
 /// Angles only, written into `phi_out` (resized to v.size()-1). Avoids
 /// allocation in the per-point Map loop.
 void angles_of(std::span<const double> v, std::vector<double>& phi_out);
+
+/// Throws InvalidArgument unless v is non-empty with non-negative (and so
+/// non-NaN) coordinates: the transform's domain.
+void require_transform_domain(std::span<const double> v);
+
+/// Eq. (1)'s suffix sums of squares, back to front: calls visit(k, tail) for
+/// k = n-1 down to 1, where tail = vn² + ... + v(k+1)² and tan(φk) =
+/// sqrt(tail) / vk (0-based v[k - 1]). Does not validate v. angles_of and
+/// the MR-Angle sector lookup both accumulate through here, so the lookup's
+/// tangent numerator has the same bits that angles_of feeds to atan2.
+template <typename Visit>
+void for_each_suffix_square_sum(std::span<const double> v, Visit&& visit) {
+  double tail = 0.0;
+  for (std::size_t k = v.size(); k-- > 1;) {
+    tail += v[k] * v[k];
+    visit(k, tail);
+  }
+}
 
 /// Inverse transform; reconstructs the Cartesian vector of dimension
 /// coords.phi.size() + 1. Used by tests to prove round-tripping.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "src/common/error.hpp"
@@ -14,6 +15,11 @@ namespace mrsky::part {
 namespace {
 
 constexpr double kHalfPi = std::numbers::pi / 2.0;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// δ: half-width of the angle bracket around each boundary inside which
+/// assign falls back to atan2. 2^-40 rad ≈ 9.1e-13 is ~4,000 ulps of π/2,
+/// while the ratio's and tan's rounding move the angle by under 1e-15 rad.
+constexpr double kBracketHalfWidth = 0x1p-40;
 
 }  // namespace
 
@@ -31,6 +37,7 @@ void AngularPartitioner::fit(const data::PointSet& ps) {
     // well-defined partitioning.
     shape_.clear();
     boundaries_.clear();
+    brackets_.clear();
     effective_partitions_ = 1;
     fitted_ = true;
     return;
@@ -38,10 +45,14 @@ void AngularPartitioner::fit(const data::PointSet& ps) {
 
   // Per-angle summary statistics of the fitted data, used twice below:
   // (1) split factors go to the angles with the largest spread, (2) the
-  // equal-width policy splits the observed [min, max] range.
+  // equal-width policy splits the observed [min, max] range. The same pass
+  // collects the equi-depth policy's quantile samples.
+  const bool equi_depth = policy_ == AngularPolicy::kEquiDepth;
   std::vector<double> lo(num_angles, kHalfPi);
   std::vector<double> hi(num_angles, 0.0);
   std::vector<common::RunningStats> spread(num_angles);
+  std::vector<std::vector<double>> samples(equi_depth ? num_angles : 0);
+  for (auto& s : samples) s.reserve(ps.size());
   {
     std::vector<double> phi;
     for (std::size_t i = 0; i < ps.size(); ++i) {
@@ -51,6 +62,7 @@ void AngularPartitioner::fit(const data::PointSet& ps) {
         hi[k] = std::max(hi[k], phi[k]);
         spread[k].add(phi[k]);
       }
+      for (std::size_t k = 0; k < samples.size(); ++k) samples[k].push_back(phi[k]);
     }
   }
 
@@ -71,7 +83,7 @@ void AngularPartitioner::fit(const data::PointSet& ps) {
   effective_partitions_ = requested_partitions_;
   boundaries_.assign(num_angles, {});
 
-  if (policy_ == AngularPolicy::kEqualWidth) {
+  if (!equi_depth) {
     // Like MR-Grid's Vmax/Np rule, the split range follows the fitted data:
     // equal-width cells over the observed [min, max] of each angle (§III-C
     // "we modify the grid partitioning over the n-1 subspaces"). Splitting
@@ -85,13 +97,6 @@ void AngularPartitioner::fit(const data::PointSet& ps) {
     }
   } else {
     // Equi-depth: boundaries at marginal sample quantiles of each angle.
-    std::vector<std::vector<double>> samples(num_angles);
-    for (auto& s : samples) s.reserve(ps.size());
-    std::vector<double> phi;
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      geo::angles_of(ps.point(i), phi);
-      for (std::size_t k = 0; k < num_angles; ++k) samples[k].push_back(phi[k]);
-    }
     for (std::size_t k = 0; k < num_angles; ++k) {
       std::sort(samples[k].begin(), samples[k].end());
       for (std::size_t b = 1; b < shape_[k]; ++b) {
@@ -102,6 +107,17 @@ void AngularPartitioner::fit(const data::PointSet& ps) {
       }
     }
   }
+
+  // Tangent brackets for assign (see angular.hpp). Boundaries ascend, so
+  // the brackets do too.
+  brackets_.assign(num_angles, {});
+  for (std::size_t k = 0; k < num_angles; ++k) {
+    for (const double beta : boundaries_[k]) {
+      brackets_[k].push_back(
+          {beta - kBracketHalfWidth <= 0.0 ? -kInf : std::tan(beta - kBracketHalfWidth),
+           beta + kBracketHalfWidth >= kHalfPi ? kInf : std::tan(beta + kBracketHalfWidth)});
+    }
+  }
   fitted_ = true;
 }
 
@@ -110,23 +126,42 @@ std::size_t AngularPartitioner::assign(std::span<const double> point) const {
   const std::size_t num_angles = shape_.size();
   if (num_angles == 0) return 0;
   MRSKY_REQUIRE(point.size() == num_angles + 1, "point dimension mismatch");
-
-  thread_local std::vector<double> phi;
-  geo::angles_of(point, phi);
+  geo::require_transform_domain(point);
 
   // The cell's row-major index over shape_ (geo::linear_index), accumulated
-  // angle by angle so assignment allocates nothing.
+  // from the last angle back, as the suffix sums arrive.
   std::size_t index = 0;
-  for (std::size_t k = 0; k < num_angles; ++k) {
-    const auto& bounds = boundaries_[k];
-    // Boundary value itself belongs to the upper sector (half-open cells).
-    const auto cell = static_cast<std::size_t>(
-        std::upper_bound(bounds.begin(), bounds.end(), phi[k]) - bounds.begin());
-    // upper_bound on boundaries yields at most shape_[k]-1... plus clamping
-    // guards against angles that exceed the last boundary exactly at π/2.
-    index = index * shape_[k] + std::min(cell, shape_[k] - 1);
-  }
+  std::size_t stride = 1;
+  geo::for_each_suffix_square_sum(point, [&](std::size_t k, double tail) {
+    const std::size_t angle = k - 1;
+    if (shape_[angle] == 1) return;  // single sector: cell 0
+    index += stride * cell_of(angle, std::sqrt(tail), point[angle]);
+    stride *= shape_[angle];
+  });
   return index;
+}
+
+std::size_t AngularPartitioner::cell_of(std::size_t k, double s, double x) const {
+  const auto& brackets = brackets_[k];
+  // x == 0 (of either sign) leaves atan2's quadrant conventions to atan2.
+  if (x != 0.0) {
+    const double ratio = s / x;
+    std::size_t cell = 0;
+    for (; cell < brackets.size(); ++cell) {
+      if (ratio > brackets[cell].hi) continue;     // boundary < φ
+      if (ratio < brackets[cell].lo) return cell;  // it and every later one > φ
+      break;                                       // φ within δ of it, or NaN
+    }
+    if (cell == brackets.size()) return cell;
+  }
+  const double phi = std::atan2(s, x);
+  const auto& bounds = boundaries_[k];
+  // Boundary value itself belongs to the upper sector (half-open cells).
+  const auto cell = static_cast<std::size_t>(
+      std::upper_bound(bounds.begin(), bounds.end(), phi) - bounds.begin());
+  // upper_bound on boundaries yields at most shape_[k]-1... plus clamping
+  // guards against angles that exceed the last boundary exactly at π/2.
+  return std::min(cell, shape_[k] - 1);
 }
 
 const std::vector<double>& AngularPartitioner::boundaries(std::size_t angle_index) const {

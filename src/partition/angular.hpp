@@ -13,6 +13,16 @@
 //  * kEqualWidth — angles split uniformly over [0, π/2] (the paper's method);
 //  * kEquiDepth  — per-angle split boundaries placed at sample quantiles of
 //    the fitted data, for better load balance on skewed data (our ablation).
+//
+// Sector lookup stays in tangent space: tan(φk) = s / vk, with s the suffix
+// norm of Eq. (1). `fit` brackets each boundary β with [tan(β − δ),
+// tan(β + δ)], δ = 2^-40 rad, and `assign` compares the ratio against the
+// brackets. A ratio outside a bracket puts the true angle more than δ from β,
+// far beyond the rounding of the ratio, of tan and of atan2, so the side it
+// picks is the side atan2 picks. Only a ratio inside a bracket, a zero vk or
+// a NaN ratio pays atan2 and the exact boundary search; angles split into a
+// single sector compute nothing. Every point gets bitwise the sector that
+// atan2 followed by a search over boundaries() gives.
 #pragma once
 
 #include <vector>
@@ -46,12 +56,24 @@ class AngularPartitioner final : public Partitioner {
   [[nodiscard]] const std::vector<double>& boundaries(std::size_t angle_index) const;
 
  private:
+  /// tan(β − δ) and tan(β + δ) around one boundary β; ±∞ where β ∓ δ leaves
+  /// (0, π/2).
+  struct TangentBracket {
+    double lo;
+    double hi;
+  };
+
+  /// The cell of angle k for the point whose tangent is s / x: the number of
+  /// boundaries ≤ atan2(s, x).
+  [[nodiscard]] std::size_t cell_of(std::size_t k, double s, double x) const;
+
   std::size_t requested_partitions_;
   std::size_t effective_partitions_;
   AngularPolicy policy_;
   bool fitted_ = false;
   std::vector<std::size_t> shape_;               ///< per-angle split counts
   std::vector<std::vector<double>> boundaries_;  ///< per-angle interior boundaries
+  std::vector<std::vector<TangentBracket>> brackets_;  ///< parallel to boundaries_
 };
 
 }  // namespace mrsky::part
