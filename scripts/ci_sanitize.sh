@@ -75,6 +75,10 @@ FILTER+=':ShuffleSpill*:RoutedRecords*:StreamedReads*:PipelineSpill*:*PartitionR
 # against the atan2 oracle, plus the partitioner contracts around it.
 FILTER+=':AngularPartitioner*:AngularRadialPartitioner*:*PartitionerContract*:Hyperspherical*'
 FILTER+=':AngularSectorLookup*'
+# The representative filter: kThreads map tasks share its read-only probe
+# tiles (TSan), the probe strides the tile lanes (ASan/UBSan), and the
+# engine runs it by default.
+FILTER+=':*RepresentativeFilterSweep*:RepresentativePick*:RepresentativeFilterEngine*'
 
 if [[ "$KIND" == "thread" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"

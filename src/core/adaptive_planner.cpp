@@ -278,37 +278,17 @@ AdaptivePlan AdaptivePlanner::plan(const data::DatasetSource& source,
 
   // 4. Block-skip preview: discount the map and shuffle phases by the
   // fraction of on-disk bytes the pipeline's pre-shuffle block pruning will
-  // drop (same strict-corner test run_mr_skyline applies). Map and shuffle
+  // drop (prune_blocks, the test run_mr_skyline applies). Map and shuffle
   // costs are scheme-independent, so the discount is uniform across
   // candidates and the ranking is unchanged — only the absolute predictions
   // tighten.
   if (!plan.fallback && base.block_prune) {
-    const data::PointSet sample_sky =
-        skyline::compute_skyline(sample, skyline::Algorithm::kBnl);
-    std::uint64_t total_bytes = 0;
-    std::uint64_t pruned_bytes = 0;
-    std::size_t pruned_blocks = 0;
-    for (std::size_t b = 0; b < source.block_count(); ++b) {
-      const data::BlockStats stats = source.block_stats(b);
-      total_bytes += stats.bytes;
-      if (!stats.has_corners) continue;
-      bool drop = false;
-      for (std::size_t s = 0; !drop && s < sample_sky.size(); ++s) {
-        const std::span<const double> p = sample_sky.point(s);
-        bool dominates = true;
-        for (std::size_t a = 0; dominates && a < dim; ++a) {
-          dominates = p[a] < stats.min_corner[a];
-        }
-        drop = dominates;
-      }
-      if (drop) {
-        pruned_bytes += stats.bytes;
-        ++pruned_blocks;
-      }
-    }
-    if (total_bytes > 0 && pruned_blocks > 0) {
-      const double keep =
-          1.0 - static_cast<double>(pruned_bytes) / static_cast<double>(total_bytes);
+    const BlockPrune prune =
+        prune_blocks(source, skyline::compute_skyline(sample, skyline::Algorithm::kBnl));
+    const double total_bytes = static_cast<double>(prune.bytes_pruned + prune.bytes_read);
+    if (total_bytes > 0 && prune.blocks_pruned > 0) {
+      const double pruned_frac = static_cast<double>(prune.bytes_pruned) / total_bytes;
+      const double keep = 1.0 - pruned_frac;
       for (PlanCandidate& cand : plan.candidates) {
         cand.map_seconds *= keep;
         cand.shuffle_seconds *= keep;
@@ -316,9 +296,8 @@ AdaptivePlan AdaptivePlanner::plan(const data::DatasetSource& source,
       plan.chosen.map_seconds *= keep;
       plan.chosen.shuffle_seconds *= keep;
       std::ostringstream os;
-      os << "\nblock stats: " << pruned_blocks << "/" << source.block_count() << " blocks ("
-         << std::fixed << std::setprecision(1)
-         << 100.0 * static_cast<double>(pruned_bytes) / static_cast<double>(total_bytes)
+      os << "\nblock stats: " << prune.blocks_pruned << "/" << source.block_count()
+         << " blocks (" << std::fixed << std::setprecision(1) << 100.0 * pruned_frac
          << "% of bytes) prunable before read";
       plan.rationale += os.str();
     }

@@ -32,6 +32,13 @@
 // Datasets too small to sample meaningfully fall back to the static
 // heuristic (plan_config) — at that scale every plan finishes in
 // microseconds and the planner would cost more than it saves.
+//
+// The planner does not model MRSkylineConfig::representative_filter: it
+// prices every row through map, shuffle and local skyline, and its
+// resolved config keeps the base config's filter setting. The filter drops
+// the same rows whatever the candidate, before assignment, so a filtered
+// run's predicted wall runs high for every candidate (DESIGN.md decision
+// 17).
 #pragma once
 
 #include <cstdint>

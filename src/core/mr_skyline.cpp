@@ -2,20 +2,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/adaptive_planner.hpp"
 #include "src/core/cost_model.hpp"
 #include "src/dataset/transforms.hpp"
+#include "src/skyline/dominance_block.hpp"
 
 namespace mrsky::core {
 
@@ -120,10 +126,80 @@ struct BlockInput {
   }
 };
 
-/// Fit-sample size for out-of-core runs when the config leaves
-/// fit_sample_size at 0 ("fit on everything"): fitting on everything would
-/// materialise the dataset, which is the one thing this path must not do.
-constexpr std::size_t kOutOfCoreFitSample = 4096;
+/// The representative filter's probe tiles: pick_representatives() packed
+/// largest dominated volume first, so the first tile catches most rows.
+/// Each lane's payload is the representative's id.
+skyline::TiledWindow representative_tiles(const data::PointSet& sample,
+                                          const data::PointSet& sample_skyline) {
+  const data::PointSet reps = pick_representatives(sample, sample_skyline);
+  skyline::TiledWindow tiles(sample.dim());
+  for (std::size_t i = 0; i < reps.size(); ++i) tiles.push_back(reps.point(i), reps.id(i));
+  return tiles;
+}
+
+/// The representative filter's probe: true when some representative
+/// strictly dominates `row`. `tests` receives what a scalar filter compares —
+/// representatives up to and including the first dominator, all of them for
+/// a survivor — which the map task charges as work.
+bool dominated_by_representatives(const skyline::TiledWindow& reps, const double* row,
+                                  std::uint64_t& tests) {
+  for (std::size_t t = 0; t < reps.tiles(); ++t) {
+    const std::uint32_t hit =
+        skyline::dominators_in_block(row, reps.tile_data(t), reps.dim()) & reps.valid_mask(t);
+    if (hit != 0) {
+      tests = t * skyline::kTileWidth + static_cast<std::uint64_t>(std::countr_zero(hit)) + 1;
+      return true;
+    }
+  }
+  tests = reps.size();
+  return false;
+}
+
+/// scheme=auto: resolve the configuration through the adaptive planner, run
+/// the pipeline with the winner, refine the process-wide cost model with
+/// what actually happened and fold the planning time into the reported
+/// wall. `Data` is a PointSet or a DatasetSource; the planner samples
+/// either (a source block by block, discounting map and shuffle costs by
+/// the predicted block-prune savings).
+template <typename Data>
+MRSkylineResult run_planned(const Data& data, const MRSkylineConfig& config) {
+  AdaptivePlannerOptions popts;
+  popts.sample_seed = config.fit_sample_seed;
+  const AdaptivePlanner planner(popts);
+  AdaptivePlan plan;
+  {
+    common::ScopedSpan plan_span(config.run_options.trace, "adaptive-plan", "plan");
+    plan = planner.plan(data, config);
+    plan_span.arg("scheme", part::to_string(plan.config.scheme));
+    plan_span.arg("partitions", plan.config.effective_partitions());
+    plan_span.arg("candidates", plan.candidates.size());
+    plan_span.arg("fallback", plan.fallback ? 1 : 0);
+    plan_span.arg("sample_points", plan.sample_points);
+  }
+  MRSkylineResult result = run_mr_skyline(data, plan.config);
+
+  std::uint64_t work = result.partition_job.total_work_units();
+  std::uint64_t shuffled = result.partition_job.shuffle_records;
+  for (const auto& round : result.merge_rounds) {
+    work += round.total_work_units();
+    shuffled += round.shuffle_records;
+  }
+  CostModel::process().observe_run(work, shuffled, result.wall_seconds);
+
+  result.plan.engaged = true;
+  result.plan.fallback = plan.fallback;
+  result.plan.scheme = plan.config.scheme;
+  result.plan.partitions = plan.config.effective_partitions();
+  result.plan.merge_fan_in = plan.config.merge_fan_in;
+  result.plan.salted = plan.config.salt_oversized_partitions;
+  result.plan.candidates = plan.candidates.size();
+  result.plan.sample_points = plan.sample_points;
+  result.plan.predicted_seconds = plan.fallback ? 0.0 : plan.chosen.total_seconds();
+  result.plan.planning_seconds = plan.planning_seconds;
+  result.plan.rationale = plan.rationale;
+  result.wall_seconds += plan.planning_seconds;
+  return result;
+}
 
 /// Rebuild a PointSet from shuffled records (shared by combine/reduce/merge).
 /// Returns a per-worker-thread scratch buffer reused across reduce groups and
@@ -213,13 +289,16 @@ void throw_if_invalid(const std::vector<std::string>& errors) {
 /// The shared pipeline body — job 1 (partition + local skyline) and the
 /// merge cascade — generic over the input view (PointSetInput streams a
 /// resident PointSet, BlockInput streams a DatasetSource's surviving
-/// blocks). The caller has already fitted the partitioner and decided the
-/// pruned-partition set. The partition report comes from job 1's own
-/// routing: it counts exactly the rows the map stage streams.
+/// blocks). The caller has already fitted the partitioner, decided the
+/// pruned-partition set and, when the representative filter is on, packed
+/// its `representatives` (null = filter off). The partition report comes
+/// from job 1's own routing: it counts exactly the rows the map stage
+/// shuffles.
 template <typename Input>
 void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitioner& part_ref,
                   std::size_t partitions, const std::unordered_set<std::size_t>& pruned,
-                  const MRSkylineConfig& config, MRSkylineResult& result) {
+                  const skyline::TiledWindow* representatives, const MRSkylineConfig& config,
+                  MRSkylineResult& result) {
   common::TraceRecorder* const trace = config.run_options.trace;
 
   // One persistent worker pool for the whole pipeline: created once here
@@ -240,15 +319,22 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
   // reduce task each (MRSkylineConfig::salt_oversized_partitions). Key space
   // is compacted: partition p owns keys [key_base[p], key_base[p+1]).
   // Salting needs partition sizes before job 1 runs, so it counts them over
-  // the rows job 1 will stream — an extra pass only salted runs pay.
+  // the rows job 1 will shuffle — an extra pass only salted runs pay.
   std::vector<std::size_t> salt(partitions, 1);
   if (config.salt_oversized_partitions) {
     std::vector<std::size_t> sizes(partitions, 0);
+    std::size_t rows = 0;
     for (std::size_t i = 0; i < input_view.size(); ++i) {
-      sizes[part_ref.assign(input_view.value(i))] += 1;
+      const std::span<const double> row = input_view.value(i);
+      std::uint64_t tests = 0;
+      if (representatives != nullptr &&
+          dominated_by_representatives(*representatives, row.data(), tests)) {
+        continue;
+      }
+      sizes[part_ref.assign(row)] += 1;
+      ++rows;
     }
-    const double target = config.salt_target_factor *
-                          static_cast<double>(input_view.size()) /
+    const double target = config.salt_target_factor * static_cast<double>(rows) /
                           static_cast<double>(partitions);
     for (std::size_t p = 0; p < partitions; ++p) {
       const auto needed = static_cast<std::size_t>(
@@ -286,9 +372,17 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
   };
   set_spill_codec(job1, dim);
 
-  job1.map_fn = [&part_ref, &salt, &key_base, dim](
+  job1.map_fn = [&part_ref, &salt, &key_base, representatives, dim](
                     const data::PointId& id, const std::span<const double>& coords,
                     mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+    // The representative tiles are read-only, so concurrent map tasks share
+    // them.
+    if (representatives != nullptr) {
+      std::uint64_t tests = 0;
+      const bool dominated = dominated_by_representatives(*representatives, coords.data(), tests);
+      ctx.charge_work(tests);
+      if (dominated) return;
+    }
     // Coordinate transform + sector lookup costs O(dim) arithmetic per point
     // for every scheme (Eq. 1 for MR-Angle, range scans for the others).
     ctx.charge_work(dim);
@@ -511,53 +605,85 @@ mr::PhaseTimes MRSkylineResult::simulate(const mr::ClusterModel& model) const {
   return mr::simulate_pipeline(jobs, model);
 }
 
+data::PointSet representative_sample(const data::PointSet& input, std::uint64_t seed) {
+  const std::size_t n = input.size();
+  const std::size_t take = std::min(kOutOfCoreFitSample, n);
+  data::PointSet sample(input.dim());
+  sample.reserve(take);
+  if (take == 0) return sample;
+  // Row (r·n + shift) / take for r < take: strictly increasing (n >= take)
+  // and below n (shift < n), so the rows are distinct and spread evenly.
+  common::Rng rng(seed);
+  const std::size_t shift = static_cast<std::size_t>(rng.uniform_index(n));
+  for (std::size_t r = 0; r < take; ++r) {
+    const std::size_t i = (r * n + shift) / take;
+    sample.push_back(input.point(i), input.id(i));
+  }
+  return sample;
+}
+
+data::PointSet pick_representatives(const data::PointSet& sample,
+                                    const data::PointSet& sample_skyline) {
+  const std::size_t dim = sample.dim();
+  std::vector<double> max_corner(dim, -std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    const std::span<const double> p = sample.point(i);
+    for (std::size_t a = 0; a < dim; ++a) max_corner[a] = std::max(max_corner[a], p[a]);
+  }
+  std::vector<double> volume(sample_skyline.size());
+  for (std::size_t s = 0; s < sample_skyline.size(); ++s) {
+    const std::span<const double> p = sample_skyline.point(s);
+    double v = 1.0;
+    for (std::size_t a = 0; a < dim; ++a) v *= max_corner[a] - p[a];
+    volume[s] = std::isnan(v) ? 0.0 : v;  // ∞ − ∞: keep the order total
+  }
+  std::vector<std::size_t> order(sample_skyline.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const std::size_t keep = std::min(kFilterRepresentatives, order.size());
+  std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(keep), order.end(),
+                    [&volume](std::size_t a, std::size_t b) {
+                      return volume[a] != volume[b] ? volume[a] > volume[b] : a < b;
+                    });
+  order.resize(keep);
+  return sample_skyline.select(order);
+}
+
+BlockPrune prune_blocks(const data::DatasetSource& source, const data::PointSet& dominators) {
+  const std::size_t dim = source.dim();
+  BlockPrune prune;
+  prune.row_offsets.push_back(0);
+  for (std::size_t b = 0; b < source.block_count(); ++b) {
+    const data::BlockStats stats = source.block_stats(b);
+    bool drop = false;
+    for (std::size_t s = 0; stats.has_corners && !drop && s < dominators.size(); ++s) {
+      const std::span<const double> p = dominators.point(s);
+      bool dominates = true;
+      for (std::size_t a = 0; dominates && a < dim; ++a) {
+        dominates = p[a] < stats.min_corner[a];
+      }
+      drop = dominates;
+    }
+    if (drop) {
+      ++prune.blocks_pruned;
+      prune.bytes_pruned += stats.bytes;
+    } else {
+      prune.kept.push_back(b);
+      prune.row_offsets.push_back(prune.row_offsets.back() + stats.rows);
+      prune.bytes_read += stats.bytes;
+    }
+  }
+  return prune;
+}
+
 MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfig& config) {
   config.validate_or_throw();
   MRSKY_REQUIRE(!input.empty(), "cannot compute the skyline of an empty dataset");
 
-  // scheme=auto: resolve the configuration through the adaptive planner,
-  // then run the pipeline with the winner. A prepared partitioner bypasses
-  // this — the existing contract is that `scheme` is ignored when the caller
-  // hands in a fitted partitioner (the QueryEngine plans before preparing).
+  // A prepared partitioner bypasses the planner — the existing contract is
+  // that `scheme` is ignored when the caller hands in a fitted partitioner
+  // (the QueryEngine plans before preparing).
   if (config.scheme == part::Scheme::kAuto && config.prepared_partitioner == nullptr) {
-    AdaptivePlannerOptions popts;
-    popts.sample_seed = config.fit_sample_seed;
-    const AdaptivePlanner planner(popts);
-    AdaptivePlan plan;
-    {
-      common::ScopedSpan plan_span(config.run_options.trace, "adaptive-plan", "plan");
-      plan = planner.plan(input, config);
-      plan_span.arg("scheme", part::to_string(plan.config.scheme));
-      plan_span.arg("partitions", plan.config.effective_partitions());
-      plan_span.arg("candidates", plan.candidates.size());
-      plan_span.arg("fallback", plan.fallback ? 1 : 0);
-      plan_span.arg("sample_points", plan.sample_points);
-    }
-    MRSkylineResult result = run_mr_skyline(input, plan.config);
-
-    // Refine the process-wide cost model with what actually happened before
-    // folding the planning time into the reported wall.
-    std::uint64_t work = result.partition_job.total_work_units();
-    std::uint64_t shuffled = result.partition_job.shuffle_records;
-    for (const auto& round : result.merge_rounds) {
-      work += round.total_work_units();
-      shuffled += round.shuffle_records;
-    }
-    CostModel::process().observe_run(work, shuffled, result.wall_seconds);
-
-    result.plan.engaged = true;
-    result.plan.fallback = plan.fallback;
-    result.plan.scheme = plan.config.scheme;
-    result.plan.partitions = plan.config.effective_partitions();
-    result.plan.merge_fan_in = plan.config.merge_fan_in;
-    result.plan.salted = plan.config.salt_oversized_partitions;
-    result.plan.candidates = plan.candidates.size();
-    result.plan.sample_points = plan.sample_points;
-    result.plan.predicted_seconds = plan.fallback ? 0.0 : plan.chosen.total_seconds();
-    result.plan.planning_seconds = plan.planning_seconds;
-    result.plan.rationale = plan.rationale;
-    result.wall_seconds += plan.planning_seconds;
-    return result;
+    return run_planned(input, config);
   }
   common::Timer wall;
   common::TraceRecorder* const trace = config.run_options.trace;
@@ -601,8 +727,20 @@ MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfi
     for (std::size_t p : partitioner->prunable_partitions()) pruned.insert(p);
   }
 
+  // The representative filter's set-up, traced under the streamed path's
+  // pre-shuffle span name.
+  std::optional<skyline::TiledWindow> representatives;
+  if (config.representative_filter) {
+    common::ScopedSpan prune_span(trace, "block-prune", "plan");
+    const data::PointSet sample = representative_sample(input, config.fit_sample_seed);
+    representatives.emplace(representative_tiles(
+        sample, skyline::compute_skyline(sample, skyline::Algorithm::kBnl)));
+    prune_span.arg("representatives", representatives->size());
+  }
+
   MRSkylineResult result;
-  run_pipeline(PointSetInput{&input}, dim, *partitioner, partitions, pruned, config, result);
+  run_pipeline(PointSetInput{&input}, dim, *partitioner, partitions, pruned,
+               representatives ? &*representatives : nullptr, config, result);
 
   result.wall_seconds = wall.elapsed_seconds();
   return result;
@@ -618,46 +756,8 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
     return run_mr_skyline(*resident, config);
   }
   MRSKY_REQUIRE(source.size() > 0, "cannot compute the skyline of an empty dataset");
-
-  // scheme=auto, streamed: the planner samples the source block by block and
-  // discounts map/shuffle costs by the predicted block-prune savings.
   if (config.scheme == part::Scheme::kAuto && config.prepared_partitioner == nullptr) {
-    AdaptivePlannerOptions popts;
-    popts.sample_seed = config.fit_sample_seed;
-    const AdaptivePlanner planner(popts);
-    AdaptivePlan plan;
-    {
-      common::ScopedSpan plan_span(config.run_options.trace, "adaptive-plan", "plan");
-      plan = planner.plan(source, config);
-      plan_span.arg("scheme", part::to_string(plan.config.scheme));
-      plan_span.arg("partitions", plan.config.effective_partitions());
-      plan_span.arg("candidates", plan.candidates.size());
-      plan_span.arg("fallback", plan.fallback ? 1 : 0);
-      plan_span.arg("sample_points", plan.sample_points);
-    }
-    MRSkylineResult result = run_mr_skyline(source, plan.config);
-
-    std::uint64_t work = result.partition_job.total_work_units();
-    std::uint64_t shuffled = result.partition_job.shuffle_records;
-    for (const auto& round : result.merge_rounds) {
-      work += round.total_work_units();
-      shuffled += round.shuffle_records;
-    }
-    CostModel::process().observe_run(work, shuffled, result.wall_seconds);
-
-    result.plan.engaged = true;
-    result.plan.fallback = plan.fallback;
-    result.plan.scheme = plan.config.scheme;
-    result.plan.partitions = plan.config.effective_partitions();
-    result.plan.merge_fan_in = plan.config.merge_fan_in;
-    result.plan.salted = plan.config.salt_oversized_partitions;
-    result.plan.candidates = plan.candidates.size();
-    result.plan.sample_points = plan.sample_points;
-    result.plan.predicted_seconds = plan.fallback ? 0.0 : plan.chosen.total_seconds();
-    result.plan.planning_seconds = plan.planning_seconds;
-    result.plan.rationale = plan.rationale;
-    result.wall_seconds += plan.planning_seconds;
-    return result;
+    return run_planned(source, config);
   }
 
   common::Timer wall;
@@ -669,11 +769,12 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
 
   const std::size_t dim = source.dim();
 
-  // One deterministic sample serves both the partitioner fit and the block
-  // pruning filter — drawn block by block, so nothing is materialised. When
-  // the config says "fit on everything" (fit_sample_size == 0) we substitute
-  // a bounded sample instead: assignment stays total, so the skyline is
-  // still exact; only partition boundaries shift.
+  // One deterministic sample serves the partitioner fit, block pruning and
+  // the representative filter — drawn block by block, so nothing is
+  // materialised. When the config says "fit on everything"
+  // (fit_sample_size == 0) we substitute a bounded sample instead:
+  // assignment stays total, so the skyline is still exact; only partition
+  // boundaries shift.
   const std::size_t sample_target =
       config.fit_sample_size > 0 ? config.fit_sample_size : kOutOfCoreFitSample;
   const data::PointSet fit_sample =
@@ -704,61 +805,43 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
     for (std::size_t p : partitioner->prunable_partitions()) pruned.insert(p);
   }
 
-  // Pre-shuffle block pruning: a block whose min corner is *strictly*
-  // dominated in every attribute by some sample-skyline point contains only
-  // dominated rows — the dominator is a real dataset point — so the block
-  // can be skipped before a single row is read. Strict-everywhere keeps the
-  // test sound with duplicates and points sitting on the corner itself, and
-  // dropping non-survivors never reorders the survivors, so the final
-  // skyline is bitwise identical to the unpruned run.
-  BlockInput stream;
-  stream.source = &source;
-  stream.row_offsets.push_back(0);
-  std::uint64_t blocks_pruned = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_pruned = 0;
+  // Every sample-skyline point is a real dataset row, so both pre-shuffle
+  // cuts are exact: a pruned block and a filtered row hold only dominated
+  // rows, and dropping non-survivors never reorders the survivors, so the
+  // final skyline is bitwise identical to the unpruned, unfiltered run.
+  std::optional<skyline::TiledWindow> representatives;
+  BlockPrune prune;
   {
     common::ScopedSpan prune_span(trace, "block-prune", "plan");
     data::PointSet sample_sky(dim);
-    if (config.block_prune) {
+    if (config.block_prune || config.representative_filter) {
       sample_sky = skyline::compute_skyline(fit_sample, skyline::Algorithm::kBnl);
     }
-    for (std::size_t b = 0; b < source.block_count(); ++b) {
-      const data::BlockStats stats = source.block_stats(b);
-      bool drop = false;
-      if (config.block_prune && stats.has_corners) {
-        for (std::size_t s = 0; !drop && s < sample_sky.size(); ++s) {
-          const std::span<const double> p = sample_sky.point(s);
-          bool dominates = true;
-          for (std::size_t a = 0; dominates && a < dim; ++a) {
-            dominates = p[a] < stats.min_corner[a];
-          }
-          drop = dominates;
-        }
-      }
-      if (drop) {
-        ++blocks_pruned;
-        bytes_pruned += stats.bytes;
-      } else {
-        stream.blocks.push_back(b);
-        stream.row_offsets.push_back(stream.row_offsets.back() + stats.rows);
-        bytes_read += stats.bytes;
-      }
+    if (config.representative_filter) {
+      representatives.emplace(representative_tiles(fit_sample, sample_sky));
+      prune_span.arg("representatives", representatives->size());
     }
-    prune_span.arg("blocks_pruned", blocks_pruned);
-    prune_span.arg("bytes_pruned", bytes_pruned);
-    prune_span.arg("bytes_read", bytes_read);
+    const data::PointSet no_dominators(dim);
+    prune = prune_blocks(source, config.block_prune ? sample_sky : no_dominators);
+    prune_span.arg("blocks_pruned", prune.blocks_pruned);
+    prune_span.arg("bytes_pruned", prune.bytes_pruned);
+    prune_span.arg("bytes_read", prune.bytes_read);
   }
   // At least one block always survives: the block holding a sample-skyline
   // point cannot have its min corner strictly dominated by any sample-skyline
   // point (that dominator would have knocked the resident point out).
-  MRSKY_ASSERT(!stream.blocks.empty(), "block pruning dropped every block");
+  MRSKY_ASSERT(!prune.kept.empty(), "block pruning dropped every block");
+  BlockInput stream;
+  stream.source = &source;
+  stream.blocks = std::move(prune.kept);
+  stream.row_offsets = std::move(prune.row_offsets);
 
   MRSkylineResult result;
-  run_pipeline(stream, dim, *partitioner, partitions, pruned, config, result);
-  result.partition_job.blocks_pruned = blocks_pruned;
-  result.partition_job.bytes_read = bytes_read;
-  result.partition_job.bytes_pruned = bytes_pruned;
+  run_pipeline(stream, dim, *partitioner, partitions, pruned,
+               representatives ? &*representatives : nullptr, config, result);
+  result.partition_job.blocks_pruned = prune.blocks_pruned;
+  result.partition_job.bytes_read = prune.bytes_read;
+  result.partition_job.bytes_pruned = prune.bytes_pruned;
 
   result.wall_seconds = wall.elapsed_seconds();
   return result;

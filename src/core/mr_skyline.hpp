@@ -6,6 +6,8 @@
 //   Job 1 "partition+local-skyline":
 //     map     — transform the point (hyperspherical for MR-Angle), assign its
 //               partition, emit (partition, point)            [Alg. 1, l.2-6]
+//               With MRSkylineConfig::representative_filter on, a row that
+//               a fit-sample skyline point dominates is dropped first.
 //     combine — optional map-side BNL per partition fragment (off by default;
 //               Algorithm 1 has no combiner — see MRSkylineConfig)
 //     reduce  — BNL computing each partition's local skyline  [Alg. 1, l.7-10]
@@ -19,6 +21,7 @@
 // simulated Map/Reduce times for any server count.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -77,6 +80,21 @@ struct MRSkylineConfig {
   /// virtual blocks carry no corners.
   bool block_prune = true;
 
+  /// Representative filter (extension; off by default like use_combiner,
+  /// on in service::QueryEngineOptions): job 1's map drops every row that
+  /// one of at most kFilterRepresentatives fit-sample skyline points
+  /// strictly dominates, before the row gets a partition. Every
+  /// representative is a real dataset row and a row equal to one is not
+  /// dominated by it, so no skyline member and no duplicate of one is
+  /// dropped: the skyline keeps the same members with the same bits. The
+  /// probes are charged as map work. With the filter on, job 1's routing —
+  /// and so `partition_report` — counts only the surviving rows; the
+  /// dropped rows are Σ map records_in − Σ routed_records. Streamed runs
+  /// pick the representatives from the fit sample block pruning uses,
+  /// resident runs from representative_sample(). The adaptive planner does
+  /// not model the filter (DESIGN.md decision 17).
+  bool representative_filter = false;
+
   /// MR-Dim only: attribute carrying the slabs.
   std::size_t split_dim = 0;
 
@@ -112,7 +130,9 @@ struct MRSkylineConfig {
   /// boundaries (and thus load balance) shift slightly.
   std::size_t fit_sample_size = 0;
 
-  /// Seed for the fitting sample (only used when fit_sample_size > 0).
+  /// Seed for the fitting sample (resident runs use it when
+  /// fit_sample_size > 0, streamed runs always), and for the representative
+  /// filter's sample.
   std::uint64_t fit_sample_seed = 0x5a3e;
 
   /// Prepared-partition hook (service::QueryEngine's fit amortisation): when
@@ -154,6 +174,44 @@ struct MRSkylineConfig {
   void validate_or_throw() const;
 };
 
+/// Representatives the filter probes at most (four 8-lane tiles).
+inline constexpr std::size_t kFilterRepresentatives = 32;
+
+/// Rows a streamed run samples to fit and prune when fit_sample_size is 0
+/// (fitting on everything would materialise the file), and rows a resident
+/// run samples for the representative filter.
+inline constexpr std::size_t kOutOfCoreFitSample = 4096;
+
+/// The representative filter's sample of a resident input: min(
+/// kOutOfCoreFitSample, N) rows at evenly spaced positions shifted by a
+/// `seed`-derived offset, in input order. O(sample) time and memory.
+[[nodiscard]] data::PointSet representative_sample(const data::PointSet& input,
+                                                   std::uint64_t seed);
+
+/// The representative filter's probe points: the at most
+/// kFilterRepresentatives points of `sample_skyline` (the BNL skyline of
+/// `sample`, so in sample order) with the largest dominated volume
+/// ∏(max_a − p_a), measured against `sample`'s max corner. Largest first;
+/// ties keep sample order.
+[[nodiscard]] data::PointSet pick_representatives(const data::PointSet& sample,
+                                                  const data::PointSet& sample_skyline);
+
+/// Pre-shuffle block pruning: a block whose min corner is *strictly*
+/// dominated in every attribute by one of `dominators` (real dataset rows)
+/// holds only dominated rows and is skipped before it is read.
+/// Strict-everywhere keeps the test sound with duplicates and with rows on
+/// the corner itself. Blocks without corners are always kept. The streamed
+/// pipeline and the adaptive planner's block-skip preview both call this.
+struct BlockPrune {
+  std::vector<std::size_t> kept;         ///< surviving block ids, ascending
+  std::vector<std::size_t> row_offsets;  ///< prefix row counts, kept.size() + 1
+  std::uint64_t blocks_pruned = 0;
+  std::uint64_t bytes_pruned = 0;
+  std::uint64_t bytes_read = 0;  ///< payload bytes of the kept blocks
+};
+[[nodiscard]] BlockPrune prune_blocks(const data::DatasetSource& source,
+                                      const data::PointSet& dominators);
+
 /// Record of a `scheme=auto` planning decision. Attached by run_mr_skyline
 /// when it resolves kAuto through core::AdaptivePlanner; `engaged` stays
 /// false on static-scheme runs. Carries only plain data (the full candidate
@@ -177,7 +235,8 @@ struct MRSkylineResult {
   std::vector<data::PointSet> local_skylines;    ///< per partition (post Job 1)
   /// Sizes / balance / pruning, counted from job 1's own routing: every
   /// input point of a resident run, the surviving blocks' rows of a streamed
-  /// one (see src/partition/stats.hpp).
+  /// one, and with representative_filter on only the rows the filter keeps
+  /// (see src/partition/stats.hpp).
   part::PartitionReport partition_report;
   mr::JobMetrics partition_job;                  ///< Job 1 metrics
   /// All merge rounds in execution order (size 1 with merge_fan_in = 0,
@@ -212,6 +271,9 @@ struct MRSkylineResult {
 /// non-negative coordinates required by MR-Angle's transform). Thin adapter
 /// over the DatasetSource pipeline below for callers that already hold the
 /// data in memory; new call sites should prefer the DatasetSource overload.
+/// With config.representative_filter on, the run first draws
+/// representative_sample() and packs pick_representatives() of its BNL
+/// skyline into the map stage's probe (traced as a "block-prune" span).
 [[nodiscard]] MRSkylineResult run_mr_skyline(const data::PointSet& input,
                                              const MRSkylineConfig& config);
 
@@ -222,8 +284,10 @@ struct MRSkylineResult {
 /// block with a non-zero sample quota), then the map stage's single pass
 /// over the blocks that survive pruning. Blocks whose min corner is
 /// strictly dominated by a sample-skyline point are skipped by the map
-/// stage (config.block_prune, sound — see MRSkylineConfig); the job-1
-/// metrics report `blocks_pruned`, `bytes_read` and `bytes_pruned`. A
+/// stage (config.block_prune, sound — see prune_blocks); the job-1
+/// metrics report `blocks_pruned`, `bytes_read` and `bytes_pruned`. The
+/// fit sample's skyline is computed once and serves both block pruning and
+/// config.representative_filter's representatives. A
 /// salted run (config.salt_oversized_partitions) reads the surviving blocks
 /// once more to size its salts. The skyline is the SAME POINT SET as
 /// the in-memory overload computes on the same data, every member bitwise

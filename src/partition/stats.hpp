@@ -9,13 +9,16 @@
 //   * a resident input: every point, so the report equals
 //     analyze_partitioning(partitioner, input) for every config;
 //   * an out-of-core input: the rows of the blocks that survive corner
-//     pruning — the rows its local-skyline tasks actually see.
+//     pruning — the rows its local-skyline tasks actually see;
+//   * with MRSkylineConfig::representative_filter on (the QueryEngine's
+//     default), only the rows the filter keeps, of either kind of input.
 // A streamed report therefore differs from analyze_partitioning over the
 // whole file whenever blocks are pruned (on 2M-row Z-ordered independent
 // 4-d files, balance_cv averages 0.74 over the surviving rows against 0.93
 // over the whole file). That difference is the definition — pruned rows
 // never reach a local-skyline task — not a change in how the partitioner
-// balances.
+// balances. The filtered report is the same definition again; its dropped
+// rows are Σ map records_in − Σ routed_records of job 1.
 #pragma once
 
 #include <cstddef>

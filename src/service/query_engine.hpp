@@ -16,6 +16,10 @@
 //  * under scheme=auto, the adaptive plan (core::AdaptivePlanner) is memoised
 //    per dataset version the same way — planned once, reused by every query
 //    at that version, invalidated by insert_batch;
+//  * every pipeline run filters with a sample skyline's representatives
+//    before the shuffle (MRSkylineConfig::representative_filter, on in the
+//    default options), so a subspace read after a write ships only the rows
+//    no representative dominates;
 //  * results are kept in an LRU cache keyed by the query's canonical
 //    signature plus the dataset version, so a repeated query is a lookup;
 //  * insert_batch() folds new points into the resident full skyline through
@@ -83,7 +87,14 @@ struct QueryEngineOptions {
   /// problem is reported in one throw. `prepared_partitioner` must be null
   /// (the engine owns fit preparation); under kThreads with no caller pool
   /// the engine creates one persistent pool and reuses it for every query.
-  core::MRSkylineConfig config;
+  /// Unlike MRSkylineConfig{}, the default turns the representative filter
+  /// on: serving wants the answer, not Algorithm 1's shuffle of every row,
+  /// and the filter keeps every skyline bitwise (DESIGN.md decision 17).
+  core::MRSkylineConfig config = [] {
+    core::MRSkylineConfig serving;
+    serving.representative_filter = true;
+    return serving;
+  }();
 
   /// Result-cache entries kept (LRU eviction). 0 disables result caching —
   /// fits and the incremental full skyline are still reused.

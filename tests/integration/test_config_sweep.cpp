@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -345,6 +347,84 @@ TEST_P(ExtensionSweep, ExtensionsMatchBruteForceOracles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ExtensionSweep, testing::Range<std::uint64_t>(0, 60),
+                         [](const auto& param_info) {
+                           return "case" + std::to_string(param_info.param);
+                         });
+
+/// Representative-filter sweep: ConfigSweep's cases with
+/// MRSkylineConfig::representative_filter on. Every fourth case snaps its
+/// coordinates to the quarter grid {0, 0.25, 0.5, 0.75, 1}, which makes
+/// exact duplicates of skyline points and of representatives — the rows a
+/// probe that treated equality as dominance would wrongly drop. Filtered
+/// runs must return the naive skyline's ids, byte-identical under both
+/// execution modes, canonically bitwise equal from a `.mrb` store and to the
+/// unfiltered run, and must never shuffle more records than the unfiltered
+/// run.
+class RepresentativeFilterSweep : public testing::TestWithParam<std::uint64_t> {};
+
+data::PointSet snap_to_quarter_grid(const data::PointSet& ps) {
+  std::vector<double> values(ps.raw().begin(), ps.raw().end());
+  for (double& v : values) v = std::round(v * 4.0) / 4.0;
+  return data::PointSet(ps.dim(), std::move(values),
+                        std::vector<data::PointId>(ps.ids().begin(), ps.ids().end()));
+}
+
+/// Rows of `ps` in ascending-id order: filtering changes which local-skyline
+/// points reach the merge, which can change the merge's emission order but
+/// never its members.
+data::PointSet canonical_by_id(const data::PointSet& ps) {
+  std::vector<std::size_t> order(ps.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return ps.id(a) < ps.id(b); });
+  return ps.select(order);
+}
+
+TEST_P(RepresentativeFilterSweep, FilteredRunsKeepEverySkylineBitwise) {
+  SweepCase c = make_case(GetParam());
+  if (GetParam() % 4 == 0) {
+    c.points = snap_to_quarter_grid(c.points);
+    c.description += " quarter-grid";
+  }
+  c.config.representative_filter = true;
+  const auto reference = sorted_ids(skyline::naive_skyline(c.points));
+
+  c.config.run_options.mode = mr::ExecutionMode::kSequential;
+  const auto sequential = core::run_mr_skyline(c.points, c.config);
+  EXPECT_EQ(sorted_ids(sequential.skyline), reference) << c.description;
+  const SkylineBits canonical(canonical_by_id(sequential.skyline));
+
+  static common::ThreadPool pool(4);
+  c.config.run_options.mode = mr::ExecutionMode::kThreads;
+  c.config.run_options.pool = &pool;
+  const auto threaded = core::run_mr_skyline(c.points, c.config);
+  EXPECT_TRUE(SkylineBits(sequential.skyline) == SkylineBits(threaded.skyline))
+      << "kSequential and kThreads outputs differ bytewise on " << c.description;
+
+  // Streamed from Z-ordered 16-row blocks: the representatives come from
+  // the block sample instead of the resident draw.
+  const std::string path =
+      testing::TempDir() + "/filter_sweep_" + std::to_string(GetParam()) + ".mrb";
+  data::write_block_store(path, c.points.select(data::zorder_permutation(c.points)), 16);
+  c.config.run_options.mode = mr::ExecutionMode::kSequential;
+  c.config.run_options.pool = nullptr;
+  {
+    const data::BlockStoreSource store(path);
+    const auto streamed = core::run_mr_skyline(store, c.config);
+    EXPECT_TRUE(SkylineBits(canonical_by_id(streamed.skyline)) == canonical)
+        << "streamed and resident filtered runs differ on " << c.description;
+  }
+  std::remove(path.c_str());
+
+  c.config.representative_filter = false;
+  const auto unfiltered = core::run_mr_skyline(c.points, c.config);
+  EXPECT_TRUE(SkylineBits(canonical_by_id(unfiltered.skyline)) == canonical)
+      << "filtered and unfiltered runs differ on " << c.description;
+  EXPECT_LE(sequential.partition_job.shuffle_records, unfiltered.partition_job.shuffle_records)
+      << c.description;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, RepresentativeFilterSweep, testing::Range<std::uint64_t>(0, 200),
                          [](const auto& param_info) {
                            return "case" + std::to_string(param_info.param);
                          });

@@ -141,8 +141,11 @@ void save_points(const std::string& path, const data::PointSet& ps) {
   }
 }
 
-core::MRSkylineConfig config_from(const common::CliArgs& args) {
-  core::MRSkylineConfig config;
+/// The pipeline config the flags describe, on top of `config` — Algorithm 1's
+/// MRSkylineConfig{} for the batch commands, the engine's default for
+/// `query` and `serve`.
+core::MRSkylineConfig config_from(const common::CliArgs& args,
+                                  core::MRSkylineConfig config = {}) {
   config.scheme = part::parse_scheme(args.get_string("scheme", "angular"));
   config.servers = static_cast<std::size_t>(args.get_int("servers", 8));
   config.num_partitions = static_cast<std::size_t>(args.get_int("partitions", 0));
@@ -528,7 +531,7 @@ int cmd_query(const common::CliArgs& args) {
   const std::string trace_out = args.get_string("trace-out", "");
 
   service::QueryEngineOptions options;
-  options.config = config_from(args);
+  options.config = config_from(args, options.config);
   options.cache_capacity = static_cast<std::size_t>(args.get_int("cache-capacity", 64));
   if (!trace_out.empty()) options.trace = &recorder;
 
@@ -630,7 +633,7 @@ int cmd_query(const common::CliArgs& args) {
 
 int cmd_serve(const common::CliArgs& args) {
   service::QueryEngineOptions options;
-  options.config = config_from(args);
+  options.config = config_from(args, options.config);
   options.cache_capacity = static_cast<std::size_t>(args.get_int("cache-capacity", 64));
   const auto engine_ptr = make_engine(args, options);
   service::QueryEngine& engine = *engine_ptr;
