@@ -23,10 +23,11 @@
 //   --mode all       all three in sequence in one process (the ctest smoke
 //                    path); the RSS gate is skipped, identity + pruning hold
 //
-//   bench_out_of_core --mode generate --cardinality 4000000 --dim 4 \
+// Examples (an indented line continues the command above it):
+//   bench_out_of_core --mode generate --cardinality 4000000 --dim 4
 //       --distribution anticorrelated --file /tmp/ooc.mrb
 //   bench_out_of_core --mode memory --file /tmp/ooc.mrb --baseline /tmp/sky.mrsk
-//   bench_out_of_core --mode block --file /tmp/ooc.mrb --baseline /tmp/sky.mrsk \
+//   bench_out_of_core --mode block --file /tmp/ooc.mrb --baseline /tmp/sky.mrsk
 //       --rss-cap-mb 36 --check --json experiment_results/out_of_core.json
 #include <algorithm>
 #include <bit>

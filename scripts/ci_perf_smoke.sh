@@ -10,7 +10,9 @@
 # machine-readable JSON under experiment_results/, and drives the mrsky CLI
 # end to end, failing if bnl, sfs and dc disagree by a single byte.
 # Wall-clock numbers are recorded, not asserted: thresholds are meaningless
-# on shared CI boxes; byte-identity of the results is the hard gate.
+# on shared CI boxes; byte-identity of the results is the hard gate. The tree
+# builds with -DMRSKY_WARNINGS_AS_ERRORS=ON, so a new compiler warning in the
+# library, the tests, the tool or the benches it builds fails the gate too.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -22,7 +24,8 @@ cmake -B "$BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=Release \
   -DMRSKY_BUILD_TESTS=ON \
   -DMRSKY_BUILD_BENCH=ON \
-  -DMRSKY_BUILD_EXAMPLES=OFF
+  -DMRSKY_BUILD_EXAMPLES=OFF \
+  -DMRSKY_WARNINGS_AS_ERRORS=ON
 cmake --build "$BUILD" -j --target micro_kernels mrsky mrsky_tests bench_query_engine ablation_planner bench_stream bench_out_of_core
 
 # Kernel correctness: AVX2-vs-portable property tests, the pipeline identity

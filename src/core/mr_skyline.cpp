@@ -605,6 +605,24 @@ mr::PhaseTimes MRSkylineResult::simulate(const mr::ClusterModel& model) const {
   return mr::simulate_pipeline(jobs, model);
 }
 
+part::PartitionerPtr fit_partitioner(const data::PointSet& input, const MRSkylineConfig& config,
+                                     common::ScopedSpan& span) {
+  part::PartitionerOptions popts;
+  popts.num_partitions = config.effective_partitions();
+  popts.split_dim = config.split_dim;
+  part::PartitionerPtr partitioner = part::make_partitioner(config.scheme, popts);
+  if (config.fit_sample_size > 0 && config.fit_sample_size < input.size()) {
+    common::Rng rng(config.fit_sample_seed);
+    partitioner->fit(data::sample_without_replacement(input, config.fit_sample_size, rng));
+    span.arg("fitted_points", config.fit_sample_size);
+  } else {
+    partitioner->fit(input);
+    span.arg("fitted_points", input.size());
+  }
+  span.arg("partitions", partitioner->num_partitions());
+  return partitioner;
+}
+
 data::PointSet representative_sample(const data::PointSet& input, std::uint64_t seed) {
   const std::size_t n = input.size();
   const std::size_t take = std::min(kOutOfCoreFitSample, n);
@@ -697,22 +715,9 @@ MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfi
   part::PartitionerPtr owned_partitioner;
   const part::Partitioner* partitioner = config.prepared_partitioner;
   if (partitioner == nullptr) {
-    part::PartitionerOptions popts;
-    popts.num_partitions = config.effective_partitions();
-    popts.split_dim = config.split_dim;
-    owned_partitioner = part::make_partitioner(config.scheme, popts);
     common::ScopedSpan fit_span(trace, "partition-fit", "plan");
     fit_span.arg("scheme", part::to_string(config.scheme));
-    if (config.fit_sample_size > 0 && config.fit_sample_size < input.size()) {
-      common::Rng rng(config.fit_sample_seed);
-      owned_partitioner->fit(
-          data::sample_without_replacement(input, config.fit_sample_size, rng));
-      fit_span.arg("fitted_points", config.fit_sample_size);
-    } else {
-      owned_partitioner->fit(input);
-      fit_span.arg("fitted_points", input.size());
-    }
-    fit_span.arg("partitions", owned_partitioner->num_partitions());
+    owned_partitioner = fit_partitioner(input, config, fit_span);
     partitioner = owned_partitioner.get();
   } else if (trace != nullptr) {
     common::ScopedSpan fit_span(trace, "partition-fit", "plan");

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/trace.hpp"
 #include "src/dataset/point_set.hpp"
 #include "src/dataset/source.hpp"
 #include "src/mapreduce/cluster.hpp"
@@ -181,6 +182,17 @@ inline constexpr std::size_t kFilterRepresentatives = 32;
 /// (fitting on everything would materialise the file), and rows a resident
 /// run samples for the representative filter.
 inline constexpr std::size_t kOutOfCoreFitSample = 4096;
+
+/// The resident fit: makes `config`'s partitioner (scheme, partitions,
+/// split_dim) and fits it on a `fit_sample_size`-row
+/// data::sample_without_replacement drawn with `fit_sample_seed` when
+/// 0 < fit_sample_size < N, on every row of `input` otherwise. Records the
+/// rows fitted (`fitted_points`) and the partition count (`partitions`) on
+/// `span`. run_mr_skyline's resident path and the QueryEngine's fit memo
+/// both fit through it.
+[[nodiscard]] part::PartitionerPtr fit_partitioner(const data::PointSet& input,
+                                                   const MRSkylineConfig& config,
+                                                   common::ScopedSpan& span);
 
 /// The representative filter's sample of a resident input: min(
 /// kOutOfCoreFitSample, N) rows at evenly spaced positions shifted by a

@@ -1,6 +1,8 @@
 #include "src/dataset/transforms.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -19,15 +21,25 @@ PointSet concat(const PointSet& a, const PointSet& b) {
 
 PointSet sample_without_replacement(const PointSet& ps, std::size_t k, common::Rng& rng) {
   MRSKY_REQUIRE(k <= ps.size(), "sample size exceeds population");
-  // Partial Fisher-Yates over an index array, then restore original order.
+  // Partial Fisher-Yates over an index array, then back to input order: a
+  // bitmap of the chosen rows, read in row order, costs less than sorting
+  // their indices and yields the same order.
   std::vector<std::size_t> indices(ps.size());
   std::iota(indices.begin(), indices.end(), std::size_t{0});
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(rng.uniform_index(indices.size() - i));
     std::swap(indices[i], indices[j]);
   }
-  indices.resize(k);
-  std::sort(indices.begin(), indices.end());
+  std::vector<std::uint64_t> chosen((ps.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    chosen[indices[i] / 64] |= std::uint64_t{1} << (indices[i] % 64);
+  }
+  indices.clear();
+  for (std::size_t w = 0; w < chosen.size(); ++w) {
+    for (std::uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+      indices.push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
   return ps.select(indices);
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/error.hpp"
@@ -25,6 +27,33 @@ data::PointSet canonical_by_id(const data::PointSet& ps) {
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return ps.id(a) < ps.id(b); });
   return ps.select(order);
+}
+
+/// A memo key: "v{version}" followed by `parts` (integers in decimal). Every
+/// part is appended with += — a chain of `"literal" + std::string`
+/// temporaries trips GCC 12's -Wrestrict false positive.
+template <class... Parts>
+std::string memo_key(std::uint64_t version, const Parts&... parts) {
+  std::string key = "v";
+  key += std::to_string(version);
+  const auto append = [&key](const auto& part) {
+    if constexpr (std::is_integral_v<std::decay_t<decltype(part)>>) {
+      key += std::to_string(part);
+    } else {
+      key += part;
+    }
+  };
+  (append(parts), ...);
+  return key;
+}
+
+/// Fit-memo key at `version`: everything that shapes the fit (scheme,
+/// partitions, fit sample), then `what` was fitted ("full", or "sub:" and
+/// the subspace's attributes).
+std::string fit_memo_key(std::uint64_t version, const core::MRSkylineConfig& cfg,
+                         const std::string& what) {
+  return memo_key(version, "/", part::to_string(cfg.scheme), "/p", cfg.effective_partitions(),
+                  "/s", cfg.fit_sample_size, ".", cfg.fit_sample_seed, "/", what);
 }
 
 template <class... Ts>
@@ -182,22 +211,7 @@ QueryEngine::FitPtr QueryEngine::prepared_fit(const data::PointSet& ps,
   // Fit outside the lock: fitting is the expensive part, and two sessions
   // racing on the same key deterministically produce identical fits (same
   // data, same seed) — the second emplace loses and adopts the winner.
-  const auto& cfg = config;
-  part::PartitionerOptions popts;
-  popts.num_partitions = cfg.effective_partitions();
-  popts.split_dim = cfg.split_dim;
-  part::PartitionerPtr partitioner = part::make_partitioner(cfg.scheme, popts);
-  if (cfg.fit_sample_size > 0 && cfg.fit_sample_size < ps.size()) {
-    common::Rng rng(cfg.fit_sample_seed);
-    partitioner->fit(data::sample_without_replacement(ps, cfg.fit_sample_size, rng));
-    span.arg("fitted_points", cfg.fit_sample_size);
-  } else {
-    partitioner->fit(ps);
-    span.arg("fitted_points", ps.size());
-  }
-  span.arg("partitions", partitioner->num_partitions());
-
-  FitPtr shared{std::move(partitioner)};
+  FitPtr shared{core::fit_partitioner(ps, config, span)};
   std::lock_guard<std::mutex> lock(fits_mutex_);
   return fits_.try_emplace(fit_key, std::move(shared)).first->second;
 }
@@ -206,8 +220,7 @@ core::MRSkylineConfig QueryEngine::resolved_config(const EngineSnapshot& snap,
                                                    QueryMetrics& metrics) {
   if (options_.config.scheme != part::Scheme::kAuto) return options_.config;
   metrics.planned = true;
-  const std::string key = "v" + std::to_string(snap.version) + "/s" +
-                          std::to_string(options_.config.fit_sample_seed);
+  const std::string key = memo_key(snap.version, "/s", options_.config.fit_sample_seed);
   std::shared_ptr<const core::AdaptivePlan> plan;
   {
     std::lock_guard<std::mutex> lock(plans_mutex_);
@@ -291,7 +304,8 @@ void QueryEngine::publish_full_skyline(const EngineSnapshot& snap, const data::P
 }
 
 QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
-                                 const common::CancellationToken& cancel) {
+                                 const common::CancellationToken& cancel,
+                                 common::ScopedSpan& span) {
   const data::PointSet& dataset = *snap.dataset;
   QueryResult result;
   std::visit(
@@ -306,12 +320,8 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
               return;
             }
             const core::MRSkylineConfig cfg = resolved_config(snap, result.metrics);
-            const std::string fit_key =
-                "v" + std::to_string(snap.version) + "/" + part::to_string(cfg.scheme) +
-                "/p" + std::to_string(cfg.effective_partitions()) + "/s" +
-                std::to_string(cfg.fit_sample_size) + "." +
-                std::to_string(cfg.fit_sample_seed) + "/full";
-            result.points = pipeline_skyline(dataset, cfg, fit_key, result, cancel);
+            result.points = pipeline_skyline(dataset, cfg, fit_memo_key(snap.version, cfg, "full"),
+                                             result, cancel);
             // A query that was cancelled between task-loop polls may still
             // hold a complete skyline; it must NOT become the resident fold —
             // the caller sees the typed abort, so nothing it produced may be
@@ -326,16 +336,13 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
             // per attribute subset would multiply planner work for marginal
             // gain (the fit is still per-subspace via the key suffix).
             const core::MRSkylineConfig cfg = resolved_config(snap, result.metrics);
-            std::string fit_key = "v" + std::to_string(snap.version) + "/" +
-                                  part::to_string(cfg.scheme) + "/p" +
-                                  std::to_string(cfg.effective_partitions()) + "/s" +
-                                  std::to_string(cfg.fit_sample_size) + "." +
-                                  std::to_string(cfg.fit_sample_seed) + "/sub:";
+            std::string subspace = "sub:";
             for (std::size_t i = 0; i < q.attributes.size(); ++i) {
-              if (i > 0) fit_key += ',';
-              fit_key += std::to_string(q.attributes[i]);
+              if (i > 0) subspace += ',';
+              subspace += std::to_string(q.attributes[i]);
             }
-            result.points = pipeline_skyline(projected, cfg, fit_key, result, cancel);
+            result.points = pipeline_skyline(
+                projected, cfg, fit_memo_key(snap.version, cfg, subspace), result, cancel);
           },
           [&](const KSkybandQuery& q) {
             cancel.throw_if_stopped("k-skyband scan");
@@ -353,7 +360,17 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
           },
           [&](const TopKWeightedQuery& q) {
             cancel.throw_if_stopped("top-k scan");
-            result.ranking = skyline::top_k_weighted(dataset, q.weights, q.k);
+            // Top-k ranks skyline members only, so a snapshot that carries
+            // its skyline (every streaming one; a non-streaming one after a
+            // skyline read or an insert fold) is ranked as it stands — the
+            // same members with the same bits as BNL over every row.
+            if (snap.full_skyline != nullptr) {
+              span.arg("topk_from", "snapshot");
+              result.ranking = skyline::top_k_of_skyline(*snap.full_skyline, q.weights, q.k);
+            } else {
+              span.arg("topk_from", "dataset");
+              result.ranking = skyline::top_k_weighted(dataset, q.weights, q.k);
+            }
           }},
       query);
   return result;
@@ -408,7 +425,7 @@ QueryResult QueryEngine::execute(const Query& query, const common::CancellationT
       }
     }
 
-    QueryResult result = compute(*snap, query, cancel);
+    QueryResult result = compute(*snap, query, cancel, span);
     result.metrics.dataset_version = snap->version;
     result.metrics.result_points =
         result.ranking.empty() ? result.points.size() : result.ranking.size();

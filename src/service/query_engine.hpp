@@ -12,7 +12,9 @@
 //  * one persistent common::ThreadPool backs every kThreads pipeline run;
 //  * partition fits are memoised per (version, scheme, partitions,
 //    fit-sample[, attribute-subset]) key and reused until an insert changes
-//    the data;
+//    the data; each fit reads at most 4,096 sampled rows
+//    (core::kOutOfCoreFitSample, set in the default options), so a subspace
+//    read after a write never fits on the whole registry;
 //  * under scheme=auto, the adaptive plan (core::AdaptivePlanner) is memoised
 //    per dataset version the same way — planned once, reused by every query
 //    at that version, invalidated by insert_batch;
@@ -20,6 +22,8 @@
 //    before the shuffle (MRSkylineConfig::representative_filter, on in the
 //    default options), so a subspace read after a write ships only the rows
 //    no representative dominates;
+//  * top-k reads rank the pinned snapshot's skyline when it carries one
+//    (every streaming snapshot does), instead of a BNL over every row;
 //  * results are kept in an LRU cache keyed by the query's canonical
 //    signature plus the dataset version, so a repeated query is a lookup;
 //  * insert_batch() folds new points into the resident full skyline through
@@ -89,10 +93,14 @@ struct QueryEngineOptions {
   /// the engine creates one persistent pool and reuses it for every query.
   /// Unlike MRSkylineConfig{}, the default turns the representative filter
   /// on: serving wants the answer, not Algorithm 1's shuffle of every row,
-  /// and the filter keeps every skyline bitwise (DESIGN.md decision 17).
+  /// and the filter keeps every skyline bitwise (DESIGN.md decision 17). It
+  /// also fits partitioners on at most kOutOfCoreFitSample rows: assignment
+  /// is total, so answers keep their bits and only partition boundaries move
+  /// (decision 18).
   core::MRSkylineConfig config = [] {
     core::MRSkylineConfig serving;
     serving.representative_filter = true;
+    serving.fit_sample_size = core::kOutOfCoreFitSample;
     return serving;
   }();
 
@@ -129,9 +137,11 @@ struct QueryEngineOptions {
 struct EngineSnapshot {
   std::uint64_t version = 0;
   std::shared_ptr<const data::PointSet> dataset;
-  /// Canonical (ascending-id) full skyline at `version` when known — either
-  /// computed by a pipeline run at this version or maintained by the
-  /// insert-time incremental fold. Null until the first skyline query.
+  /// Canonical (ascending-id) full skyline at `version` when known —
+  /// computed by a pipeline run at this version, maintained by the
+  /// insert-time incremental fold, or by streaming's MaintainedSkyline
+  /// (every streaming snapshot carries one). Otherwise null until the first
+  /// skyline query. Skyline and top-k reads serve from it when present.
   std::shared_ptr<const data::PointSet> full_skyline;
 };
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
@@ -295,9 +305,10 @@ class QueryEngine {
   /// Cache key for `query` at `version`.
   [[nodiscard]] static std::string cache_key(const Query& query, std::uint64_t version);
 
-  /// Looks up / fits-and-memoises the partitioner for `ps` under `fit_key`,
-  /// constructing it from `config` (the resolved pipeline config — never
-  /// scheme=auto) on a miss. The returned shared_ptr pins the fit: a
+  /// Looks up / fits-and-memoises the partitioner for `ps` under `fit_key`;
+  /// on a miss, core::fit_partitioner fits it from `config` (the resolved
+  /// pipeline config — never scheme=auto), on config.fit_sample_size sampled
+  /// rows when `ps` has more. The returned shared_ptr pins the fit: a
   /// concurrent insert_batch may retire the memo entry, but the fit object
   /// stays alive for this run.
   FitPtr prepared_fit(const data::PointSet& ps, const core::MRSkylineConfig& config,
@@ -323,8 +334,12 @@ class QueryEngine {
                                   const common::CancellationToken& cancel);
 
   /// Computes a fresh payload for `query` against the pinned snapshot.
+  /// `span` is the query's span: a top-k read records which rows it ranked
+  /// (`topk_from` = "snapshot" for the snapshot's skyline, "dataset" for a
+  /// BNL over every row).
   [[nodiscard]] QueryResult compute(const EngineSnapshot& snap, const Query& query,
-                                    const common::CancellationToken& cancel);
+                                    const common::CancellationToken& cancel,
+                                    common::ScopedSpan& span);
 
   /// After a pipeline computed the full skyline at `snap`'s version: seed the
   /// insert-time fold and re-publish the snapshot with the skyline attached,

@@ -67,26 +67,32 @@ RepresentativeResult representative_skyline(const data::PointSet& ps, std::size_
   return result;
 }
 
-std::vector<ScoredPoint> top_k_weighted(const data::PointSet& ps,
-                                        std::span<const double> weights, std::size_t k) {
-  MRSKY_REQUIRE(weights.size() == ps.dim(), "one weight per attribute required");
+std::vector<ScoredPoint> top_k_of_skyline(const data::PointSet& skyline,
+                                          std::span<const double> weights, std::size_t k) {
+  MRSKY_REQUIRE(weights.size() == skyline.dim(), "one weight per attribute required");
   for (double w : weights) MRSKY_REQUIRE(w >= 0.0, "weights must be non-negative");
 
-  const data::PointSet sky = bnl_skyline(ps);
   std::vector<ScoredPoint> scored;
-  scored.reserve(sky.size());
-  for (std::size_t i = 0; i < sky.size(); ++i) {
+  scored.reserve(skyline.size());
+  for (std::size_t i = 0; i < skyline.size(); ++i) {
     double score = 0.0;
-    const auto p = sky.point(i);
+    const auto p = skyline.point(i);
     for (std::size_t a = 0; a < p.size(); ++a) score += weights[a] * p[a];
-    scored.push_back({sky.id(i), score});
+    scored.push_back({skyline.id(i), score});
   }
+  // (score, id) is a total order on distinct ids, so the ranking does not
+  // depend on the order the skyline's rows arrive in.
   std::sort(scored.begin(), scored.end(), [](const ScoredPoint& a, const ScoredPoint& b) {
     if (a.score != b.score) return a.score < b.score;
     return a.id < b.id;
   });
   if (scored.size() > k) scored.resize(k);
   return scored;
+}
+
+std::vector<ScoredPoint> top_k_weighted(const data::PointSet& ps,
+                                        std::span<const double> weights, std::size_t k) {
+  return top_k_of_skyline(bnl_skyline(ps), weights, k);
 }
 
 data::PointSet epsilon_pareto_cover(const data::PointSet& ps, double epsilon) {

@@ -45,9 +45,17 @@ struct ScoredPoint {
   double score = 0.0;
 };
 
-/// Ranks the skyline of `ps` by the weighted sum of (minimisation-oriented)
-/// attributes — smaller score is better — and returns the best `k` entries,
-/// ties broken by id. `weights` must be non-negative, one per attribute.
+/// Ranks every row of `skyline` — the caller's skyline, in any order — by
+/// the weighted sum of its (minimisation-oriented) attributes, summed in
+/// attribute order; smaller score is better. Returns the best `k` entries in
+/// (score, id) order. `weights` must be non-negative, one per attribute.
+/// A resident skyline (the QueryEngine's snapshot) is ranked without
+/// rescanning the dataset it came from.
+[[nodiscard]] std::vector<ScoredPoint> top_k_of_skyline(const data::PointSet& skyline,
+                                                        std::span<const double> weights,
+                                                        std::size_t k);
+
+/// top_k_of_skyline over the BNL skyline of `ps`.
 [[nodiscard]] std::vector<ScoredPoint> top_k_weighted(const data::PointSet& ps,
                                                       std::span<const double> weights,
                                                       std::size_t k);

@@ -39,7 +39,7 @@ TEST(CliArgs, IntFlagAndFallback) {
 
 TEST(CliArgs, IntRejectsGarbage) {
   const auto args = make({"--n", "4x"});
-  EXPECT_THROW(args.get_int("n", 0), InvalidArgument);
+  EXPECT_THROW((void)args.get_int("n", 0), InvalidArgument);
 }
 
 TEST(CliArgs, DoubleFlag) {
@@ -49,7 +49,7 @@ TEST(CliArgs, DoubleFlag) {
 
 TEST(CliArgs, DoubleRejectsTrailing) {
   const auto args = make({"--ratio", "2.5abc"});
-  EXPECT_THROW(args.get_double("ratio", 0.0), RuntimeError);
+  EXPECT_THROW((void)args.get_double("ratio", 0.0), RuntimeError);
 }
 
 TEST(CliArgs, BareBooleanFlag) {
@@ -66,7 +66,7 @@ TEST(CliArgs, ExplicitBooleanValues) {
 }
 
 TEST(CliArgs, BooleanRejectsGarbage) {
-  EXPECT_THROW(make({"--x", "maybe"}).get_bool("x", false), RuntimeError);
+  EXPECT_THROW((void)make({"--x", "maybe"}).get_bool("x", false), RuntimeError);
 }
 
 TEST(CliArgs, BooleanFallback) {

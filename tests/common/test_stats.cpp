@@ -76,12 +76,12 @@ TEST(Percentile, SingleElement) {
 }
 
 TEST(Percentile, ThrowsOnEmpty) {
-  EXPECT_THROW(percentile({}, 50.0), InvalidArgument);
+  EXPECT_THROW((void)percentile({}, 50.0), InvalidArgument);
 }
 
 TEST(Percentile, ThrowsOnBadP) {
-  EXPECT_THROW(percentile({1.0}, -1.0), InvalidArgument);
-  EXPECT_THROW(percentile({1.0}, 101.0), InvalidArgument);
+  EXPECT_THROW((void)percentile({1.0}, -1.0), InvalidArgument);
+  EXPECT_THROW((void)percentile({1.0}, 101.0), InvalidArgument);
 }
 
 TEST(CoefficientOfVariation, ZeroForConstantSeries) {
@@ -121,13 +121,13 @@ TEST(PearsonCorrelation, ConstantSeriesIsZero) {
 TEST(PearsonCorrelation, ThrowsOnSizeMismatch) {
   const std::vector<double> xs = {1.0, 2.0};
   const std::vector<double> ys = {1.0};
-  EXPECT_THROW(pearson_correlation(xs, ys), InvalidArgument);
+  EXPECT_THROW((void)pearson_correlation(xs, ys), InvalidArgument);
 }
 
 TEST(PearsonCorrelation, ThrowsOnTooFewSamples) {
   const std::vector<double> xs = {1.0};
   const std::vector<double> ys = {1.0};
-  EXPECT_THROW(pearson_correlation(xs, ys), InvalidArgument);
+  EXPECT_THROW((void)pearson_correlation(xs, ys), InvalidArgument);
 }
 
 }  // namespace

@@ -27,10 +27,10 @@ TEST(Theorem1, ClosedFormMatchesPaperFormula) {
 }
 
 TEST(Theorem1, RejectsPointsOutsideSector) {
-  EXPECT_THROW(dominance_ability_angle(1.0, 0.6, 1.0), mrsky::InvalidArgument);  // y > x/2
-  EXPECT_THROW(dominance_ability_angle(-0.1, 0.0, 1.0), mrsky::InvalidArgument);
-  EXPECT_THROW(dominance_ability_angle(2.5, 0.2, 1.0), mrsky::InvalidArgument);  // x > 2L
-  EXPECT_THROW(dominance_ability_angle(1.0, 0.2, 0.0), mrsky::InvalidArgument);  // L = 0
+  EXPECT_THROW((void)dominance_ability_angle(1.0, 0.6, 1.0), mrsky::InvalidArgument);  // y > x/2
+  EXPECT_THROW((void)dominance_ability_angle(-0.1, 0.0, 1.0), mrsky::InvalidArgument);
+  EXPECT_THROW((void)dominance_ability_angle(2.5, 0.2, 1.0), mrsky::InvalidArgument);  // x > 2L
+  EXPECT_THROW((void)dominance_ability_angle(1.0, 0.2, 0.0), mrsky::InvalidArgument);  // L = 0
 }
 
 TEST(GridAbility, CornerCases) {
@@ -40,8 +40,8 @@ TEST(GridAbility, CornerCases) {
 }
 
 TEST(GridAbility, RejectsOutsideCell) {
-  EXPECT_THROW(dominance_ability_grid(1.5, 0.5, 1.0), mrsky::InvalidArgument);
-  EXPECT_THROW(dominance_ability_grid(0.5, -0.1, 1.0), mrsky::InvalidArgument);
+  EXPECT_THROW((void)dominance_ability_grid(1.5, 0.5, 1.0), mrsky::InvalidArgument);
+  EXPECT_THROW((void)dominance_ability_grid(0.5, -0.1, 1.0), mrsky::InvalidArgument);
 }
 
 TEST(MonteCarlo, AngleMatchesClosedForm) {
@@ -68,8 +68,8 @@ TEST(MonteCarlo, GridMatchesClosedForm) {
 
 TEST(MonteCarlo, RejectsZeroSamples) {
   common::Rng rng(1);
-  EXPECT_THROW(monte_carlo_angle(0.5, 0.1, 1.0, 0, rng), mrsky::InvalidArgument);
-  EXPECT_THROW(monte_carlo_grid(0.5, 0.1, 1.0, 0, rng), mrsky::InvalidArgument);
+  EXPECT_THROW((void)monte_carlo_angle(0.5, 0.1, 1.0, 0, rng), mrsky::InvalidArgument);
+  EXPECT_THROW((void)monte_carlo_grid(0.5, 0.1, 1.0, 0, rng), mrsky::InvalidArgument);
 }
 
 // Theorem 2 as a property sweep: for points in the overlap of both

@@ -52,10 +52,10 @@ INSTANTIATE_TEST_SUITE_P(
                                      part::Scheme::kAngularRadial, part::Scheme::kRandom),
                      testing::Values(Distribution::kIndependent, Distribution::kAnticorrelated),
                      testing::Values(std::size_t{2}, std::size_t{3}, std::size_t{6})),
-    [](const auto& info) {
-      std::string name = part::to_string(std::get<0>(info.param)) + "_" +
-                         data::to_string(std::get<1>(info.param)) + "_d" +
-                         std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      std::string name = part::to_string(std::get<0>(param_info.param)) + "_" +
+                         data::to_string(std::get<1>(param_info.param)) + "_d" +
+                         std::to_string(std::get<2>(param_info.param));
       for (char& c : name) {
         if (c == '-') c = '_';
       }

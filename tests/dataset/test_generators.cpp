@@ -57,7 +57,7 @@ INSTANTIATE_TEST_SUITE_P(AllDistributions, GeneratorSweep,
                          testing::Values(Distribution::kIndependent, Distribution::kCorrelated,
                                          Distribution::kAnticorrelated,
                                          Distribution::kClustered),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& param_info) { return to_string(param_info.param); });
 
 TEST(Generators, CorrelatedAttributesMoveTogether) {
   const PointSet ps = generate(Distribution::kCorrelated, 5000, 2, 11);
@@ -132,7 +132,7 @@ TEST(Generators, ParseAliases) {
 }
 
 TEST(Generators, ParseRejectsUnknown) {
-  EXPECT_THROW(parse_distribution("zipfian"), RuntimeError);
+  EXPECT_THROW((void)parse_distribution("zipfian"), RuntimeError);
 }
 
 TEST(Generators, RejectsZeroDimension) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/error.hpp"
 #include "src/dataset/generators.hpp"
@@ -67,6 +70,39 @@ TEST(Sample, DeterministicUnderSeed) {
   common::Rng rng_b(10);
   EXPECT_EQ(sample_without_replacement(ps, 30, rng_a),
             sample_without_replacement(ps, 30, rng_b));
+}
+
+/// The sampler's reference: partial Fisher-Yates over an index array, then a
+/// sort back into row order.
+std::vector<PointId> sorted_fisher_yates_ids(const PointSet& ps, std::size_t k,
+                                             common::Rng& rng) {
+  std::vector<std::size_t> indices(ps.size());
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.uniform_index(indices.size() - i));
+    std::swap(indices[i], indices[j]);
+  }
+  indices.resize(k);
+  std::sort(indices.begin(), indices.end());
+  std::vector<PointId> ids;
+  for (std::size_t i : indices) ids.push_back(ps.id(i));
+  return ids;
+}
+
+TEST(Sample, MatchesSortedPartialFisherYates) {
+  for (const std::size_t n : {1, 63, 64, 65, 130, 5000}) {
+    const PointSet ps = generate(Distribution::kIndependent, n, 2, n);
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 3, n - 1, n}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        common::Rng a(seed);
+        common::Rng b(seed);
+        const PointSet sample = sample_without_replacement(ps, k, a);
+        const std::vector<PointId> ids(sample.ids().begin(), sample.ids().end());
+        EXPECT_EQ(ids, sorted_fisher_yates_ids(ps, k, b))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(AffineTransform, AppliesPerAttribute) {

@@ -80,7 +80,7 @@ TEST(LinearIndex, RowMajorOrdering) {
 }
 
 TEST(LinearIndex, RankMismatchThrows) {
-  EXPECT_THROW(linear_index({0, 0}, {2}), mrsky::InvalidArgument);
+  EXPECT_THROW((void)linear_index({0, 0}, {2}), mrsky::InvalidArgument);
 }
 
 TEST(UnlinearIndex, OutOfVolumeThrows) {

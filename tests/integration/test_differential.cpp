@@ -93,8 +93,10 @@ TEST_P(Differential, VerifierAcceptsReferenceOutput) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
                          testing::Range<std::uint64_t>(1, 13),
-                         [](const auto& info) {
-                           return "seed" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           std::string name = "seed";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 }  // namespace

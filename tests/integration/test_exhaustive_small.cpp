@@ -6,6 +6,7 @@
 // degenerate layouts included, which is where skyline bugs live.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/dataset/point_set.hpp"
@@ -70,7 +71,11 @@ TEST_P(ExhaustiveSmall, AllAlgorithmsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(UpToFourPoints, ExhaustiveSmall,
                          testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3},
                                          std::size_t{4}),
-                         [](const auto& info) { return "n" + std::to_string(info.param); });
+                         [](const auto& param_info) {
+                           std::string name = "n";
+                           name += std::to_string(param_info.param);
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace mrsky

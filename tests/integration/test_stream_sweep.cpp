@@ -14,6 +14,10 @@
 //
 // A slice of cases also runs a skyline query at a streamed version, proving
 // the pipeline path agrees with the maintained structure.
+//
+// StreamTopKSweep replays the same schedules through one engine and, after
+// every tick, checks the top-k reads that rank the snapshot's skyline
+// against top_k_weighted over the oracle's live rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,11 +31,14 @@
 
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/common/trace.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/normalize.hpp"
 #include "src/dataset/qws.hpp"
 #include "src/service/query_engine.hpp"
 #include "src/skyline/algorithms.hpp"
+#include "src/skyline/extensions.hpp"
+#include "tests/support/quarter_grid.hpp"
 
 namespace mrsky {
 namespace {
@@ -108,6 +115,13 @@ class StreamOracle {
     data::PointSet ps(dim_);
     for (const auto& [id, coords] : live_) ps.push_back(coords, id);  // map: ascending ids
     return canonical_by_id(skyline::naive_skyline(ps));
+  }
+
+  /// The live rows, in ascending-id order.
+  [[nodiscard]] data::PointSet live() const {
+    data::PointSet ps(dim_);
+    for (const auto& [id, coords] : live_) ps.push_back(coords, id);
+    return ps;
   }
 
   [[nodiscard]] std::size_t live_size() const { return live_.size(); }
@@ -301,6 +315,87 @@ TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, StreamSweep, testing::Range<std::uint64_t>(0, 200),
+                         [](const auto& param_info) {
+                           return "case" + std::to_string(param_info.param);
+                         });
+
+/// Ids and exact score bits, in ranking order.
+std::vector<std::uint64_t> ranking_bits(const std::vector<skyline::ScoredPoint>& ranking) {
+  std::vector<std::uint64_t> bits;
+  for (const skyline::ScoredPoint& sp : ranking) {
+    bits.push_back(sp.id);
+    bits.push_back(std::bit_cast<std::uint64_t>(sp.score));
+  }
+  return bits;
+}
+
+/// Top-k from the snapshot: StreamSweep's schedules, every fourth snapped to
+/// the quarter grid (duplicate coordinates, and quarter-step weights that tie
+/// the scores of distinct points too). After every tick, the engine's top-k
+/// for k = 1..12 under seeded weights must equal top_k_weighted over the
+/// oracle's live rows bitwise, list ties in ascending-id order, and come from
+/// the snapshot's skyline (the query span's `topk_from`), never a scan.
+class StreamTopKSweep : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StreamTopKSweep, TopKRanksTheSnapshotSkylineEveryTick) {
+  StreamCase c = make_case(GetParam());
+  const bool quarter_grid = GetParam() % 4 == 0;
+  if (quarter_grid) {
+    c.initial = test::snap_to_quarter_grid(c.initial);
+    for (service::MutationBatch& batch : c.schedule) {
+      batch.inserts = test::snap_to_quarter_grid(batch.inserts);
+    }
+    c.description += " quarter-grid";
+  }
+
+  common::TraceRecorder trace;
+  service::QueryEngineOptions options;
+  options.window_capacity = c.window_capacity;
+  options.window_ticks = c.window_ticks;
+  options.cache_capacity = 0;  // every read ranks; none is a cache hit
+  options.trace = &trace;
+  service::QueryEngine engine(c.initial, options);
+  StreamOracle oracle(c.initial, c.window_capacity, c.window_ticks);
+
+  constexpr std::size_t kMaxK = 12;
+  common::Rng rng(GetParam() * 0x2545f491ull + 0x70b4ull);
+  for (std::size_t t = 0; t < c.schedule.size(); ++t) {
+    const std::string where = c.description + " tick " + std::to_string(t + 1);
+    engine.apply_batch(c.schedule[t]);
+    oracle.apply(c.schedule[t]);
+    const data::PointSet live = oracle.live();
+
+    std::vector<double> weights(live.dim());
+    for (double& w : weights) {
+      w = quarter_grid ? 0.25 * static_cast<double>(rng.uniform_index(5)) : rng.uniform();
+    }
+    for (std::size_t k = 1; k <= kMaxK; ++k) {
+      const auto got = engine.execute(service::Query{service::TopKWeightedQuery{weights, k}});
+      EXPECT_EQ(ranking_bits(got.ranking),
+                ranking_bits(skyline::top_k_weighted(live, weights, k)))
+          << where << " k=" << k;
+      for (std::size_t i = 1; i < got.ranking.size(); ++i) {
+        const skyline::ScoredPoint& a = got.ranking[i - 1];
+        const skyline::ScoredPoint& b = got.ranking[i];
+        EXPECT_TRUE(a.score < b.score || (a.score == b.score && a.id < b.id))
+            << where << " k=" << k << " rank " << i;
+      }
+    }
+  }
+
+  std::size_t ranked = 0;
+  for (const common::TraceSpan& s : trace.spans()) {
+    const common::TraceArg* kind = s.name == "query" ? s.find_arg("kind") : nullptr;
+    if (kind == nullptr || kind->value != "top_k_weighted") continue;
+    ++ranked;
+    const common::TraceArg* from = s.find_arg("topk_from");
+    ASSERT_NE(from, nullptr) << c.description;
+    EXPECT_EQ(from->value, "snapshot") << c.description;
+  }
+  EXPECT_EQ(ranked, kMaxK * c.schedule.size()) << c.description;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, StreamTopKSweep, testing::Range<std::uint64_t>(0, 200),
                          [](const auto& param_info) {
                            return "case" + std::to_string(param_info.param);
                          });

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -50,7 +51,7 @@ TEST(LptMakespan, MoreLanesNeverSlower) {
 
 TEST(LptMakespan, ZeroLanesThrows) {
   const std::vector<double> one = {1.0};
-  EXPECT_THROW(lpt_makespan(one, 0), mrsky::InvalidArgument);
+  EXPECT_THROW((void)lpt_makespan(one, 0), mrsky::InvalidArgument);
 }
 
 JobMetrics sample_metrics() {
@@ -277,9 +278,21 @@ TEST(NodeFailure, WasteAwareCostIsMeasuredNotImputed) {
   EXPECT_DOUBLE_EQ(trace_job(m, model).times.map_seconds, 3.5);
 }
 
+/// A task with its four headline counters set; every other field keeps its
+/// default.
+TaskMetrics task_metrics(std::uint64_t records_in, std::uint64_t records_out,
+                         std::uint64_t work_units, std::int64_t wall_ns) {
+  TaskMetrics t;
+  t.records_in = records_in;
+  t.records_out = records_out;
+  t.work_units = work_units;
+  t.wall_ns = wall_ns;
+  return t;
+}
+
 TEST(TaskMetrics, Accumulates) {
-  TaskMetrics a{1, 2, 3, 4};
-  const TaskMetrics b{10, 20, 30, 40};
+  TaskMetrics a = task_metrics(1, 2, 3, 4);
+  const TaskMetrics b = task_metrics(10, 20, 30, 40);
   a += b;
   EXPECT_EQ(a.records_in, 11u);
   EXPECT_EQ(a.records_out, 22u);

@@ -112,8 +112,12 @@ TEST(JobEdgeCases, NegativeAndDuplicateKeysGroupCorrectly) {
   const auto result = run_job(config, input);
   EXPECT_EQ(group_count, 2);
   for (const auto& kv : result.output) {
-    if (kv.key == -3) EXPECT_EQ(kv.value, 3);
-    if (kv.key == 5) EXPECT_EQ(kv.value, 2);
+    if (kv.key == -3) {
+      EXPECT_EQ(kv.value, 3);
+    }
+    if (kv.key == 5) {
+      EXPECT_EQ(kv.value, 2);
+    }
   }
 }
 

@@ -164,7 +164,7 @@ TEST(Factory, ParseAliases) {
 }
 
 TEST(Factory, ParseRejectsUnknown) {
-  EXPECT_THROW(parse_scheme("kd-tree"), mrsky::RuntimeError);
+  EXPECT_THROW((void)parse_scheme("kd-tree"), mrsky::RuntimeError);
 }
 
 TEST(Factory, SplitDimPassedThrough) {

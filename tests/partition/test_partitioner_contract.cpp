@@ -134,8 +134,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, PartitionerContract,
                          testing::Values(Scheme::kDimensional, Scheme::kGrid, Scheme::kAngular,
                                          Scheme::kAngularEquiDepth, Scheme::kAngularRadial, Scheme::kPivot,
                                          Scheme::kRandom),
-                         [](const auto& info) {
-                           std::string name = to_string(info.param);
+                         [](const auto& param_info) {
+                           std::string name = to_string(param_info.param);
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -7,14 +7,17 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "src/common/trace.hpp"
 #include "src/core/mr_skyline.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/transforms.hpp"
 #include "src/service/query_engine.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/extensions.hpp"
+#include "tests/support/quarter_grid.hpp"
 
 namespace mrsky {
 namespace {
@@ -339,6 +342,93 @@ TEST(QueryEngine, PlanMemoReusedWithinVersionInvalidatedByInsert) {
   EXPECT_FALSE(replanned.metrics.plan_reused);
   EXPECT_EQ(engine.stats().plans_computed, 2u);
   EXPECT_EQ(engine.plan_entries(), 1u);
+}
+
+/// The `topk_from` arg of every top-k `query` span, in order ("" if absent).
+std::vector<std::string> topk_sources(const common::TraceRecorder& trace) {
+  std::vector<std::string> sources;
+  for (const common::TraceSpan& s : trace.spans()) {
+    const common::TraceArg* kind = s.name == "query" ? s.find_arg("kind") : nullptr;
+    if (kind == nullptr || kind->value != "top_k_weighted") continue;
+    const common::TraceArg* from = s.find_arg("topk_from");
+    sources.push_back(from == nullptr ? "" : from->value);
+  }
+  return sources;
+}
+
+/// A non-streaming engine ranks the whole dataset until a skyline is
+/// resident, then ranks that skyline: after a skyline read and after an
+/// insert fold. Both paths must return the same bits — on the quarter grid
+/// too, where duplicate rows tie in score and the order falls to their ids.
+TEST(QueryEngine, TopKRanksTheResidentSkylineWithTheSameBits) {
+  for (const bool quarter_grid : {false, true}) {
+    data::PointSet ps = workload(1500, 4, 29);
+    data::PointSet extra = workload(200, 4, 30);
+    if (quarter_grid) {
+      ps = test::snap_to_quarter_grid(ps);
+      extra = test::snap_to_quarter_grid(extra);
+    }
+    const std::vector<double> weights = {0.25, 0.5, 0.25, 0.5};
+    const service::Query query = service::TopKWeightedQuery{weights, 9};
+    common::TraceRecorder trace;
+    service::QueryEngineOptions options;
+    options.cache_capacity = 0;
+    options.trace = &trace;
+    service::QueryEngine engine(ps, options);
+
+    const auto scanned = engine.execute(query);
+    (void)engine.execute(service::SkylineQuery{});
+    const auto ranked = engine.execute(query);
+    EXPECT_EQ(bits_of(scanned.ranking), bits_of(skyline::top_k_weighted(ps, weights, 9)));
+    EXPECT_EQ(bits_of(ranked.ranking), bits_of(scanned.ranking));
+
+    engine.insert_batch(extra);
+    const auto folded = engine.execute(query);
+    EXPECT_EQ(bits_of(folded.ranking),
+              bits_of(skyline::top_k_weighted(engine.dataset(), weights, 9)));
+    EXPECT_EQ(topk_sources(trace),
+              (std::vector<std::string>{"dataset", "snapshot", "snapshot"}))
+        << (quarter_grid ? "quarter-grid" : "");
+  }
+}
+
+/// The engine fits its partitioners on at most kOutOfCoreFitSample rows —
+/// full-skyline and subspace fits alike — and every answer stays bitwise
+/// the canonical MRSkylineConfig{} answer, which fits on every row. A
+/// registry of at most that many rows is still fitted on every row.
+TEST(QueryEngine, FitsOnABoundedSampleWithTheSameAnswers) {
+  const std::vector<std::size_t> attrs = {0, 2};
+  for (const part::Scheme scheme :
+       {part::Scheme::kAngular, part::Scheme::kGrid, part::Scheme::kDimensional}) {
+    for (const std::size_t n : {std::size_t{6000}, std::size_t{3000}}) {
+      const std::string where = part::to_string(scheme) + " n=" + std::to_string(n);
+      const data::PointSet ps = workload(n, 4, 31);
+      common::TraceRecorder trace;
+      service::QueryEngineOptions options;
+      options.config.scheme = scheme;
+      options.trace = &trace;
+      service::QueryEngine engine(ps, options);
+
+      const auto full = engine.execute(service::SkylineQuery{});
+      const auto sub = engine.execute(service::SubspaceQuery{attrs});
+      core::MRSkylineConfig algorithm1;
+      algorithm1.scheme = scheme;
+      EXPECT_EQ(bits_of(full.points),
+                bits_of(canonical(core::run_mr_skyline(ps, algorithm1).skyline)))
+          << where;
+      EXPECT_EQ(bits_of(sub.points),
+                bits_of(canonical(core::run_mr_skyline(data::project(ps, attrs), algorithm1)
+                                      .skyline)))
+          << where;
+
+      std::vector<std::int64_t> fitted;
+      for (const common::TraceSpan& s : trace.spans()) {
+        if (s.name == "prepared-fit") fitted.push_back(s.arg_int("fitted_points"));
+      }
+      const auto want = static_cast<std::int64_t>(std::min(n, core::kOutOfCoreFitSample));
+      EXPECT_EQ(fitted, (std::vector<std::int64_t>{want, want})) << where;
+    }
+  }
 }
 
 TEST(QueryEngine, StaticSchemeNeverTouchesPlanMemo) {

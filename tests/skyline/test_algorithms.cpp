@@ -105,7 +105,7 @@ TEST(AlgorithmParse, RoundTrips) {
                       Algorithm::kNaive}) {
     EXPECT_EQ(parse_algorithm(to_string(a)), a);
   }
-  EXPECT_THROW(parse_algorithm("quicksky"), mrsky::RuntimeError);
+  EXPECT_THROW((void)parse_algorithm("quicksky"), mrsky::RuntimeError);
 }
 
 // ---- Cross-algorithm agreement sweep ------------------------------------
@@ -149,9 +149,10 @@ INSTANTIATE_TEST_SUITE_P(
                                      Distribution::kAnticorrelated),
                      testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4},
                                      std::size_t{7})),
-    [](const auto& info) {
-      return to_string(std::get<0>(info.param)) + "_" + data::to_string(std::get<1>(info.param)) +
-             "_d" + std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return to_string(std::get<0>(param_info.param)) + "_" +
+             data::to_string(std::get<1>(param_info.param)) + "_d" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 // ---- Skyline size behaviour ---------------------------------------------

@@ -63,10 +63,10 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(Distribution::kIndependent, Distribution::kCorrelated,
                                      Distribution::kAnticorrelated),
                      testing::Values(std::size_t{2}, std::size_t{5})),
-    [](const auto& info) {
-      return "w" + std::to_string(std::get<0>(info.param)) + "_" +
-             data::to_string(std::get<1>(info.param)) + "_d" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return "w" + std::to_string(std::get<0>(param_info.param)) + "_" +
+             data::to_string(std::get<1>(param_info.param)) + "_d" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 TEST(BoundedBnl, SmallerWindowsNeedMorePasses) {

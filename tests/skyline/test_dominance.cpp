@@ -92,9 +92,15 @@ TEST(Compare, SymmetryOfRelation) {
     Vec b = {rng.uniform(), rng.uniform()};
     const DomRelation ab = compare(a, b);
     const DomRelation ba = compare(b, a);
-    if (ab == DomRelation::kDominates) EXPECT_EQ(ba, DomRelation::kDominatedBy);
-    if (ab == DomRelation::kEqual) EXPECT_EQ(ba, DomRelation::kEqual);
-    if (ab == DomRelation::kIncomparable) EXPECT_EQ(ba, DomRelation::kIncomparable);
+    if (ab == DomRelation::kDominates) {
+      EXPECT_EQ(ba, DomRelation::kDominatedBy);
+    }
+    if (ab == DomRelation::kEqual) {
+      EXPECT_EQ(ba, DomRelation::kEqual);
+    }
+    if (ab == DomRelation::kIncomparable) {
+      EXPECT_EQ(ba, DomRelation::kIncomparable);
+    }
   }
 }
 

@@ -216,8 +216,12 @@ TEST(TiledWindow, CornerPrefilterAnswersAreSound) {
     }
     // maybe_* == false must imply the relation is impossible (never the
     // converse: the corners are an over-approximation of the window).
-    if (!w.maybe_dominated(p)) EXPECT_FALSE(any_dominator) << "candidate " << c;
-    if (!w.maybe_dominates(p)) EXPECT_FALSE(any_dominated) << "candidate " << c;
+    if (!w.maybe_dominated(p)) {
+      EXPECT_FALSE(any_dominator) << "candidate " << c;
+    }
+    if (!w.maybe_dominates(p)) {
+      EXPECT_FALSE(any_dominated) << "candidate " << c;
+    }
   }
 }
 

@@ -47,10 +47,10 @@ INSTANTIATE_TEST_SUITE_P(
                                      Distribution::kAnticorrelated, Distribution::kClustered),
                      testing::Values(std::size_t{2}, std::size_t{4}, std::size_t{7}),
                      testing::Values(std::size_t{4}, std::size_t{32})),
-    [](const auto& info) {
-      return data::to_string(std::get<0>(info.param)) + "_d" +
-             std::to_string(std::get<1>(info.param)) + "_c" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return data::to_string(std::get<0>(param_info.param)) + "_d" +
+             std::to_string(std::get<1>(param_info.param)) + "_c" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 TEST(Bbs, DuplicatesAllSurvive) {

@@ -66,9 +66,9 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(Distribution::kIndependent, Distribution::kCorrelated,
                                      Distribution::kAnticorrelated),
                      testing::Values(std::size_t{2}, std::size_t{3}, std::size_t{4})),
-    [](const auto& info) {
-      return data::to_string(std::get<0>(info.param)) + "_d" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return data::to_string(std::get<0>(param_info.param)) + "_d" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(NnSkyline, DuplicatesAllReported) {

@@ -14,18 +14,18 @@
 //   query     — serve a query script against a resident QueryEngine
 //   serve     — run the concurrent multi-session skyline server (TCP)
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   mrsky generate --output data.csv --n 10000 --dim 6 --qws
 //   mrsky convert --input data.csv --output data.mrb --block-rows 4096 --order zorder
 //   mrsky inspect --input data.mrb --verify true
-//   mrsky skyline --input data.mrb --scheme angular --servers 8 \
+//   mrsky skyline --input data.mrb --scheme angular --servers 8
 //         --output skyline.csv --metrics-json metrics.json
 //   mrsky report --input data.csv --scheme grid --partitions 16
 //   mrsky simulate --input data.csv --scheme angular --servers-list 4,8,16,32
 //   mrsky query --input data.csv --script session.mrq
 //         --metrics-json query_metrics.json --trace-out trace.json
-//   mrsky serve --input data.csv --port 7878 --max-sessions 8 \
-//       --default-deadline-ms 500 --idle-timeout-ms 30000 --metrics-json serve.json
+//   mrsky serve --input data.csv --port 7878 --max-sessions 8
+//         --default-deadline-ms 500 --idle-timeout-ms 30000 --metrics-json serve.json
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
