@@ -7,8 +7,9 @@
 # in-process identity test that runs the CLI's pipeline on the AVX2 path and
 # on the forced portable loop and requires bitwise-equal skylines and equal
 # counters — lands the micro-benchmark timings of both kernel paths as
-# machine-readable JSON under experiment_results/, and drives the mrsky CLI
-# end to end, failing if bnl, sfs and dc disagree by a single byte.
+# machine-readable JSON under experiment_results/, drives the mrsky CLI
+# end to end, failing if bnl, sfs and dc disagree by a single byte, and
+# replays every payload the TCP server served under concurrent load.
 # Wall-clock numbers are recorded, not asserted: thresholds are meaningless
 # on shared CI boxes; byte-identity of the results is the hard gate. The tree
 # builds with -DMRSKY_WARNINGS_AS_ERRORS=ON, so a new compiler warning in the
@@ -26,7 +27,7 @@ cmake -B "$BUILD" -S "$ROOT" \
   -DMRSKY_BUILD_BENCH=ON \
   -DMRSKY_BUILD_EXAMPLES=OFF \
   -DMRSKY_WARNINGS_AS_ERRORS=ON
-cmake --build "$BUILD" -j --target micro_kernels mrsky mrsky_tests bench_query_engine ablation_planner bench_stream bench_out_of_core
+cmake --build "$BUILD" -j --target micro_kernels mrsky mrsky_tests bench_query_engine ablation_planner bench_stream bench_out_of_core bench_server_load
 
 # Kernel correctness: AVX2-vs-portable property tests, the pipeline identity
 # test (DominanceBlock.SimdToggleChangesNeitherPipelineResultsNorCounters;
@@ -94,6 +95,14 @@ done
   --json "$RESULTS/stream_sweep.json" \
   --check --min-speedup 5
 
+# Server gate: eight concurrent sessions, two of them writing, over loopback
+# TCP against the bench's default 20k x 4 QWS-like registry. --check replays
+# the run single-threaded and fails unless every served payload matches its
+# replay byte for byte, so the wire text and the snapshots behind it are
+# gated at a size where responses span several receive chunks. Latencies land
+# in the JSON, recorded, not asserted.
+"$BUILD/bench/bench_server_load" --check --json "$RESULTS/server_load.json"
+
 # Out-of-core gate (ISSUE 10 acceptance): three separate processes, because
 # VmHWM is a per-process high-water mark — generation or the resident
 # baseline would pollute the streamed run's reading. The .mrb file is >= 4x
@@ -117,4 +126,4 @@ mkdir -p "$OOC"
   --json "$RESULTS/out_of_core.json" \
   --check
 
-echo "== perf smoke passed: results identical; timings in $RESULTS/micro_kernels.json, $RESULTS/query_engine.json, $RESULTS/planner_sweep.json, $RESULTS/stream_sweep.json and $RESULTS/out_of_core.json"
+echo "== perf smoke passed: results identical; timings in $RESULTS/micro_kernels.json, $RESULTS/query_engine.json, $RESULTS/planner_sweep.json, $RESULTS/stream_sweep.json, $RESULTS/server_load.json and $RESULTS/out_of_core.json"

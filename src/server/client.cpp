@@ -43,6 +43,7 @@ LineClient::~LineClient() { close(); }
 LineClient::LineClient(LineClient&& other) noexcept
     : fd_(other.fd_),
       buffer_(std::move(other.buffer_)),
+      scan_from_(other.scan_from_),
       recv_timeout_ms_(other.recv_timeout_ms_),
       timed_out_(other.timed_out_) {
   other.fd_ = -1;
@@ -53,6 +54,7 @@ LineClient& LineClient::operator=(LineClient&& other) noexcept {
     close();
     fd_ = other.fd_;
     buffer_ = std::move(other.buffer_);
+    scan_from_ = other.scan_from_;
     recv_timeout_ms_ = other.recv_timeout_ms_;
     timed_out_ = other.timed_out_;
     other.fd_ = -1;
@@ -80,6 +82,7 @@ void LineClient::connect(const std::string& host, std::uint16_t port) {
   }
   fd_ = fd;
   buffer_.clear();
+  scan_from_ = 0;
   timed_out_ = false;
 }
 
@@ -151,12 +154,16 @@ std::optional<std::string> LineClient::recv_line() {
                                         ? common::Deadline{}
                                         : common::Deadline::after_ms(recv_timeout_ms_);
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    // Only bytes that arrived since the last scan can hold the newline, so a
+    // long line costs one pass, not one per received chunk.
+    const std::size_t newline = buffer_.find('\n', scan_from_);
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
+      scan_from_ = 0;
       return line;
     }
+    scan_from_ = buffer_.size();
     if (deadline.engaged()) {
       const std::int64_t remaining = deadline.remaining_ms();
       if (remaining == 0) {
@@ -191,6 +198,7 @@ void LineClient::close() {
     fd_ = -1;
   }
   buffer_.clear();
+  scan_from_ = 0;
   timed_out_ = false;
 }
 

@@ -101,6 +101,9 @@ class LineClient {
  private:
   int fd_ = -1;
   std::string buffer_;
+  /// buffer_[0, scan_from_) holds no newline: recv_line resumes its search
+  /// there.
+  std::size_t scan_from_ = 0;
   std::int64_t recv_timeout_ms_ = -1;
   bool timed_out_ = false;
 };

@@ -1,7 +1,8 @@
 #include "src/server/protocol.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <concepts>
 #include <sstream>
 #include <string_view>
 
@@ -199,10 +200,71 @@ std::optional<Request> parse_request(const std::string& line, std::size_t dim) {
   return std::move(envelope->request);
 }
 
-std::string double_repr(double value) {
+namespace {
+
+// The response writer. Every id, coordinate and score goes straight into the
+// response string through std::to_chars, into capacity reserved once per
+// line: no format-string parse and no temporary string per number.
+
+/// Longest `%.17g` text of a finite double: sign, 17 digits, the point and
+/// `e-308`.
+constexpr std::size_t kMaxDoubleChars = 24;
+/// Longest decimal text of a 64-bit integer, sign included.
+constexpr std::size_t kMaxIntChars = 20;
+/// Room for the fields a line appends after its header besides the arrays
+/// themselves: field names, brackets, `total_covered` and the metrics object.
+constexpr std::size_t kMaxTrailerChars = 256;
+
+/// Appends `value` exactly as printf's `%.17g` renders it: std::to_chars in
+/// general format at precision 17 is specified as that conversion.
+void append_double(std::string& out, double value) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, 17).ptr);
+}
+
+void append_int(std::string& out, std::integral auto value) {
+  char buf[kMaxIntChars];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+/// Upper bound on what append_points writes for `points`.
+std::size_t points_chars(const data::PointSet& points) {
+  return 2 + points.size() * (3 + kMaxIntChars + points.dim() * (1 + kMaxDoubleChars));
+}
+
+/// Appends `[[id,c,...],...]`, the point shape every response uses.
+void append_points(std::string& out, const data::PointSet& points) {
+  out += '[';
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '[';
+    append_int(out, points.id(i));
+    for (double c : points.point(i)) {
+      out += ',';
+      append_double(out, c);
+    }
+    out += ']';
+  }
+  out += ']';
+}
+
+/// Appends `[i,...]`.
+template <class Int>
+void append_ints(std::string& out, const std::vector<Int>& values) {
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    append_int(out, values[i]);
+  }
+  out += ']';
+}
+
+}  // namespace
+
+std::string double_repr(double value) {
+  std::string out;
+  append_double(out, value);
+  return out;
 }
 
 std::string error_line(const std::string& message) {
@@ -231,31 +293,29 @@ std::string result_line(const service::Query& query, const service::QueryResult&
   const service::QueryMetrics& m = result.metrics;
   std::string out = "{\"ok\":true,\"kind\":\"" + service::query_kind(query) +
                     "\",\"version\":" + std::to_string(m.dataset_version);
+  out.reserve(out.size() + kMaxTrailerChars + points_chars(result.points) +
+              result.ranking.size() * (4 + kMaxIntChars + kMaxDoubleChars) +
+              result.coverage.size() * (1 + kMaxIntChars));
 
   if (std::holds_alternative<service::TopKWeightedQuery>(query)) {
     out += ",\"ranking\":[";
     for (std::size_t i = 0; i < result.ranking.size(); ++i) {
       if (i > 0) out += ',';
-      out += '[' + std::to_string(result.ranking[i].id) + ',' +
-             double_repr(result.ranking[i].score) + ']';
-    }
-    out += ']';
-  } else {
-    out += ",\"points\":[";
-    for (std::size_t i = 0; i < result.points.size(); ++i) {
-      if (i > 0) out += ',';
-      out += '[' + std::to_string(result.points.id(i));
-      for (double c : result.points.point(i)) out += ',' + double_repr(c);
+      out += '[';
+      append_int(out, result.ranking[i].id);
+      out += ',';
+      append_double(out, result.ranking[i].score);
       out += ']';
     }
     out += ']';
+  } else {
+    out += ",\"points\":";
+    append_points(out, result.points);
     if (std::holds_alternative<service::RepresentativeQuery>(query)) {
-      out += ",\"coverage\":[";
-      for (std::size_t i = 0; i < result.coverage.size(); ++i) {
-        if (i > 0) out += ',';
-        out += std::to_string(result.coverage[i]);
-      }
-      out += "],\"total_covered\":" + std::to_string(result.total_covered);
+      out += ",\"coverage\":";
+      append_ints(out, result.coverage);
+      out += ",\"total_covered\":";
+      append_int(out, result.total_covered);
     }
   }
 
@@ -272,33 +332,6 @@ std::string insert_line(std::size_t points, std::uint64_t version) {
          ",\"version\":" + std::to_string(version) + "}";
 }
 
-namespace {
-
-/// Renders a PointSet as `[[id,c,...],...]`, the same shape result_line uses.
-std::string points_array(const data::PointSet& points) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '[' + std::to_string(points.id(i));
-    for (double c : points.point(i)) out += ',' + double_repr(c);
-    out += ']';
-  }
-  out += ']';
-  return out;
-}
-
-std::string ids_array(const std::vector<data::PointId>& ids) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
-  }
-  out += ']';
-  return out;
-}
-
-}  // namespace
-
 std::string delete_line(const service::StreamDelta& delta) {
   return "{\"ok\":true,\"deleted\":" + std::to_string(delta.deleted) +
          ",\"missing\":" + std::to_string(delta.missing_deletes) +
@@ -307,21 +340,30 @@ std::string delete_line(const service::StreamDelta& delta) {
 }
 
 std::string subscribed_line(std::uint64_t base_version, const data::PointSet& base_skyline) {
-  return "{\"ok\":true,\"event\":\"subscribed\",\"version\":" + std::to_string(base_version) +
-         ",\"skyline\":" + points_array(base_skyline) + "}";
+  std::string out = "{\"ok\":true,\"event\":\"subscribed\",\"version\":" +
+                    std::to_string(base_version) + ",\"skyline\":";
+  out.reserve(out.size() + kMaxTrailerChars + points_chars(base_skyline));
+  append_points(out, base_skyline);
+  out += '}';
+  return out;
 }
 
 std::string unsubscribed_line() { return "{\"ok\":true,\"event\":\"unsubscribed\"}"; }
 
 std::string delta_line(const service::StreamDelta& delta) {
-  return "{\"ok\":true,\"event\":\"delta\",\"version\":" + std::to_string(delta.version) +
-         ",\"tick\":" + std::to_string(delta.tick) +
-         ",\"inserted\":" + std::to_string(delta.inserted) +
-         ",\"deleted\":" + std::to_string(delta.deleted) +
-         ",\"expired\":" + std::to_string(delta.expired) +
-         ",\"missing\":" + std::to_string(delta.missing_deletes) +
-         ",\"entered\":" + points_array(delta.entered) +
-         ",\"left\":" + ids_array(delta.left) + "}";
+  std::string out = "{\"ok\":true,\"event\":\"delta\",\"version\":" +
+                    std::to_string(delta.version) + ",\"tick\":" + std::to_string(delta.tick) +
+                    ",\"inserted\":" + std::to_string(delta.inserted) +
+                    ",\"deleted\":" + std::to_string(delta.deleted) +
+                    ",\"expired\":" + std::to_string(delta.expired) +
+                    ",\"missing\":" + std::to_string(delta.missing_deletes) + ",\"entered\":";
+  out.reserve(out.size() + kMaxTrailerChars + points_chars(delta.entered) +
+              delta.left.size() * (1 + kMaxIntChars));
+  append_points(out, delta.entered);
+  out += ",\"left\":";
+  append_ints(out, delta.left);
+  out += '}';
+  return out;
 }
 
 }  // namespace mrsky::server

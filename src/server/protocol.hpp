@@ -40,11 +40,16 @@
 // expires mid-pipeline is abandoned cooperatively and answered with a typed
 // cancellation line (`cancelled_line`), never a dropped connection.
 //
-// Responses are single-line JSON objects with an "ok" flag. Doubles are
-// rendered with 17 significant digits (%.17g), which round-trips every finite
-// IEEE double bit-exactly — the server's bitwise-reproducibility guarantee
-// survives the text protocol. Blank lines and `#` comments produce no
-// response (they are script furniture, not requests).
+// Responses are single-line JSON objects with an "ok" flag. Every double on
+// the wire is printf's `%.17g` text: 17 significant digits, trailing zeros
+// dropped, exponent form below 1e-4 and from 1e17 up. 17 digits round-trip
+// every finite IEEE double bit-exactly, so the server's bitwise-
+// reproducibility guarantee survives the text protocol. The text is not the
+// shortest that round-trips (0.1 goes out as `0.10000000000000001`), and it
+// must not become that: clients and replays compare payloads byte for byte.
+// The renderer is std::to_chars at precision 17 in general format, which the
+// standard defines as that printf conversion. Blank lines and `#` comments
+// produce no response (they are script furniture, not requests).
 #pragma once
 
 #include <cstdint>
@@ -109,7 +114,9 @@ struct RequestEnvelope {
 /// discarded, no size cap.
 [[nodiscard]] std::optional<Request> parse_request(const std::string& line, std::size_t dim);
 
-/// Shortest decimal rendering that round-trips the exact double (%.17g).
+/// `value` exactly as printf's `%.17g` renders it: the text every coordinate
+/// and score takes on the wire. It round-trips every finite double, but is
+/// not the shortest text that does (0.1 renders as `0.10000000000000001`).
 [[nodiscard]] std::string double_repr(double value);
 
 /// `{"ok":false,"error":"..."}`

@@ -641,24 +641,30 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
   // Publish: streaming snapshots canonicalise the dataset to ascending-id
   // order and always carry the exact full skyline. The previous snapshot is
   // already ascending and fresh ids sort after every existing one, so the
-  // next dataset is one linear merge-skip pass over contiguous rows — NOT a
-  // re-canonicalisation of the whole live set from the hash index, which
-  // would make every tick pay an O(n log n) scatter-sort for a handful of
-  // mutations.
+  // next dataset is the previous rows copied in runs — one bulk append per
+  // stretch between removed ids, found by binary search — then the new rows.
+  // NOT a re-canonicalisation of the whole live set from the hash index,
+  // which would make every tick pay an O(n log n) scatter-sort for a handful
+  // of mutations.
   std::sort(removed_ids.begin(), removed_ids.end());
   const data::PointSet& prev = *old->dataset;
-  auto live = std::make_shared<data::PointSet>(prev.dim());
+  const std::span<const data::PointId> prev_ids = prev.ids();
+  const std::size_t dim = prev.dim();
+  auto live = std::make_shared<data::PointSet>(dim);
   live->reserve(prev.size() + new_ids.size());
-  std::size_t ri = 0;
-  for (std::size_t i = 0; i < prev.size(); ++i) {
-    const data::PointId id = prev.id(i);
-    while (ri < removed_ids.size() && removed_ids[ri] < id) ++ri;
-    if (ri < removed_ids.size() && removed_ids[ri] == id) {
-      ++ri;
-      continue;
-    }
-    live->push_back(prev.point(i), id);
+  std::size_t run = 0;  // first previous row not yet copied
+  for (const data::PointId id : removed_ids) {
+    const auto it = std::lower_bound(prev_ids.begin() + static_cast<std::ptrdiff_t>(run),
+                                     prev_ids.end(), id);
+    // A row inserted this tick and evicted by the count window is not in
+    // the previous snapshot.
+    if (it == prev_ids.end() || *it != id) continue;
+    const auto at = static_cast<std::size_t>(it - prev_ids.begin());
+    live->append_rows(prev.raw().subspan(run * dim, (at - run) * dim),
+                      prev_ids.subspan(run, at - run));
+    run = at + 1;
   }
+  live->append_rows(prev.raw().subspan(run * dim), prev_ids.subspan(run));
   for (std::size_t i = 0; i < new_ids.size(); ++i) {
     // A count window smaller than the batch can evict a row inserted this
     // very tick; those ids are in removed_ids, not in the previous snapshot.

@@ -12,6 +12,12 @@
 //  * replaying each delta onto a running replica must reproduce the
 //    published skyline, which is the standing-subscription contract.
 //
+// Every tick also compares the published snapshot's rows — ids and
+// coordinate bits, in order — with the oracle's live set, so a rebuild that
+// keeps the row count but misplaces a row fails. StreamSweepEdges replays
+// schedules aimed at the rebuild's boundaries: deletes of the first and the
+// last live id every tick, and a count window smaller than one insert batch.
+//
 // A slice of cases also runs a skyline query at a streamed version, proving
 // the pipeline path agrees with the maintained structure.
 //
@@ -43,7 +49,8 @@
 namespace mrsky {
 namespace {
 
-/// The exact bits of a skyline, in output order.
+/// The exact bits of a point set (a skyline, or a snapshot's rows), in row
+/// order.
 struct SkylineBits {
   std::vector<data::PointId> ids;
   std::vector<std::uint64_t> coord_bits;
@@ -246,6 +253,76 @@ StreamCase make_case(std::uint64_t index) {
   return c;
 }
 
+/// Schedules aimed at apply_batch's snapshot rebuild, plus what they
+/// exercised. Every tick deletes the first and the last id of the previous
+/// snapshot; a builder-side oracle picks them, so the schedule stays static.
+/// Variant index % 4:
+///  0: a count window of 3 under five inserts a tick, so rows leave in the
+///     tick they arrive;
+///  1: unbounded, 0..6 inserts a tick;
+///  2: a time window and per-point TTLs;
+///  3: unbounded, and every fourth tick deletes the whole live set.
+struct EdgeCase {
+  StreamCase stream;
+  std::size_t boundary_deletes = 0;     ///< first/last live ids deleted
+  std::size_t same_tick_evictions = 0;  ///< rows gone by the end of their own tick
+};
+
+EdgeCase make_edge_case(std::uint64_t index) {
+  common::Rng rng(index * 0x2545f491ull + 0xed6eull);
+  EdgeCase e;
+  StreamCase& c = e.stream;
+  const std::size_t variant = index % 4;
+  const std::size_t n = 12 + rng.uniform_index(20);
+  const std::size_t dim = 2 + rng.uniform_index(3);
+  constexpr std::size_t kTicks = 12;
+  const auto dist = static_cast<data::Distribution>((index / 4) % 4);
+  const data::PointSet pool = data::generate(dist, n + kTicks * 6, dim, /*seed=*/index + 101);
+
+  std::vector<std::size_t> head(n);
+  for (std::size_t i = 0; i < n; ++i) head[i] = i;
+  c.initial = pool.select(head);  // ids 0..n-1
+  if (variant == 0) c.window_capacity = 3;
+  if (variant == 2) c.window_ticks = 2 + rng.uniform_index(3);
+
+  StreamOracle oracle(c.initial, c.window_capacity, c.window_ticks);
+  std::size_t next_row = n;
+  data::PointId next_id = static_cast<data::PointId>(n);
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    service::MutationBatch batch;
+    batch.inserts = data::PointSet(dim);
+    const data::PointSet live = oracle.live();
+    if (variant == 3 && t % 4 == 1) {
+      batch.deletes.assign(live.ids().begin(), live.ids().end());
+    } else if (!live.empty()) {
+      batch.deletes.push_back(live.id(0));
+      if (live.size() > 1) batch.deletes.push_back(live.id(live.size() - 1));
+      e.boundary_deletes += batch.deletes.size();
+    }
+    const std::size_t inserts = variant == 0 ? 5 : rng.uniform_index(7);
+    for (std::size_t i = 0; i < inserts; ++i, ++next_row) {
+      batch.inserts.push_back(pool.point(next_row), pool.id(next_row));
+      batch.ttl_ticks.push_back(variant == 2 && rng.uniform() < 0.3
+                                    ? static_cast<std::int64_t>(1 + rng.uniform_index(3))
+                                    : 0);
+    }
+    oracle.apply(batch);
+    const data::PointSet after = oracle.live();
+    for (std::size_t i = 0; i < inserts; ++i, ++next_id) {
+      if (!std::binary_search(after.ids().begin(), after.ids().end(), next_id)) {
+        ++e.same_tick_evictions;
+      }
+    }
+    c.schedule.push_back(std::move(batch));
+  }
+
+  c.description = "edge variant " + std::to_string(variant) + " " + data::to_string(dist) +
+                  " n=" + std::to_string(n) + " d=" + std::to_string(dim) +
+                  (c.window_capacity > 0 ? " cap=" + std::to_string(c.window_capacity) : "") +
+                  (c.window_ticks > 0 ? " span=" + std::to_string(c.window_ticks) : "");
+  return e;
+}
+
 class StreamSweep : public testing::TestWithParam<std::uint64_t> {
  protected:
   /// One pool shared by every kThreads engine in the sweep.
@@ -253,11 +330,18 @@ class StreamSweep : public testing::TestWithParam<std::uint64_t> {
     static common::ThreadPool pool(4);
     return pool;
   }
+
+  /// Replays `c` through a kSequential and a kThreads engine and the oracle,
+  /// checking every tick; `run_query` also runs the skyline query path at the
+  /// final version.
+  static void replay_and_check(const StreamCase& c, bool run_query);
 };
 
 TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
-  const StreamCase c = make_case(GetParam());
+  replay_and_check(make_case(GetParam()), GetParam() % 9 == 0);
+}
 
+void StreamSweep::replay_and_check(const StreamCase& c, bool run_query) {
   service::QueryEngineOptions seq_options;
   seq_options.window_capacity = c.window_capacity;
   seq_options.window_ticks = c.window_ticks;
@@ -288,6 +372,12 @@ TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
     EXPECT_TRUE(SkylineBits(published) == SkylineBits(oracle.skyline())) << where;
     EXPECT_EQ(rs.snapshot->dataset->size(), oracle.live_size()) << where;
 
+    // The published rows: the oracle's live set, ids and coordinate bits in
+    // ascending-id order, from both engines.
+    const SkylineBits live(oracle.live());
+    EXPECT_TRUE(SkylineBits(*rs.snapshot->dataset) == live) << where;
+    EXPECT_TRUE(SkylineBits(*rt.snapshot->dataset) == live) << where;
+
     // Mode invariance: kSequential and kThreads publish identical bytes.
     EXPECT_TRUE(SkylineBits(published) == SkylineBits(*rt.snapshot->full_skyline)) << where;
     EXPECT_EQ(rs.delta.left, rt.delta.left) << where;
@@ -304,7 +394,7 @@ TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
 
   // A slice also runs the query path at a streamed version: the pipeline must
   // agree with the maintained structure it never consulted.
-  if (GetParam() % 9 == 0) {
+  if (run_query) {
     const auto result = seq.execute(service::Query{service::SkylineQuery{}});
     EXPECT_TRUE(SkylineBits(result.points) ==
                 SkylineBits(*seq.snapshot()->full_skyline))
@@ -315,6 +405,23 @@ TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, StreamSweep, testing::Range<std::uint64_t>(0, 200),
+                         [](const auto& param_info) {
+                           return "case" + std::to_string(param_info.param);
+                         });
+
+class StreamSweepEdges : public StreamSweep {};
+
+TEST_P(StreamSweepEdges, BoundaryDeletesAndSameTickEvictionsKeepEveryRow) {
+  const EdgeCase e = make_edge_case(GetParam());
+  // The schedule reaches the boundaries it was built for.
+  EXPECT_GT(e.boundary_deletes, 0u) << e.stream.description;
+  if (e.stream.window_capacity > 0) {
+    EXPECT_GT(e.same_tick_evictions, 0u) << e.stream.description;
+  }
+  replay_and_check(e.stream, /*run_query=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, StreamSweepEdges, testing::Range<std::uint64_t>(0, 32),
                          [](const auto& param_info) {
                            return "case" + std::to_string(param_info.param);
                          });

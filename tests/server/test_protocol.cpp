@@ -2,6 +2,10 @@
 // rendering, and the %.17g double round-trip the bitwise guarantee rests on.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -102,6 +106,142 @@ TEST(Protocol, DoubleReprRoundTripsExactly) {
     const double back = std::strtod(server::double_repr(v).c_str(), nullptr);
     EXPECT_EQ(back, v) << server::double_repr(v);
   }
+}
+
+/// The wire text's reference: printf's `%.17g`, which every response has
+/// always carried. Clients parse it; replays compare it byte for byte.
+std::string printf_repr(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+TEST(Protocol, DoubleReprIsPrintfPrecision17) {
+  // 17 significant digits, not the shortest round-tripping text: 0.1 keeps
+  // its trailing ...01, and 1e16/1e17 switch to exponent form exactly where
+  // %g does.
+  EXPECT_EQ(server::double_repr(0.1), "0.10000000000000001");
+  EXPECT_EQ(server::double_repr(1e16), "10000000000000000");
+  EXPECT_EQ(server::double_repr(1e17), "1e+17");
+  EXPECT_EQ(server::double_repr(-0.0), "-0");
+
+  const double fixed[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::lowest(),
+                          0.1,
+                          -0.1,
+                          0.5,
+                          1.0 / 3.0,
+                          1e16,
+                          1e17,
+                          -1e17,
+                          123456789012345678.0,
+                          1e-5,
+                          1e-4,
+                          -12345.678901234567};
+  for (const double v : fixed) EXPECT_EQ(server::double_repr(v), printf_repr(v)) << v;
+
+  // Seeded sweep over random bit patterns: every exponent, both signs,
+  // subnormals included (NaN and infinity are skipped; the wire never
+  // carries them).
+  std::uint64_t state = 0x2012'0521'0000'0017ull;  // splitmix64, fixed seed
+  std::size_t compared = 0;
+  std::size_t mismatches = 0;
+  while (compared < 1'000'000) {
+    state += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    const double v = std::bit_cast<double>(z ^ (z >> 31));
+    if (!std::isfinite(v)) continue;
+    ++compared;
+    if (server::double_repr(v) != printf_repr(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << printf_repr(v) << " rendered as " << server::double_repr(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// `[[id,c,...],...]` through printf, the reference for every point array.
+std::string printf_points(const data::PointSet& points) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '[' + std::to_string(points.id(i));
+    for (double c : points.point(i)) out += ',' + printf_repr(c);
+    out += ']';
+  }
+  return out + ']';
+}
+
+/// Three points whose coordinates need all 17 digits, exponent form, a
+/// subnormal, a negative zero and a large id.
+data::PointSet wire_points() {
+  data::PointSet ps(3);
+  ps.push_back(std::vector<double>{0.1, 1.0 / 3.0, -0.0}, 7);
+  ps.push_back(std::vector<double>{1e17, std::numeric_limits<double>::denorm_min(), 0.25}, 42);
+  ps.push_back(std::vector<double>{-12345.678901234567, 1e-300, 2.0 / 3.0}, 4'000'000'000u);
+  return ps;
+}
+
+TEST(Protocol, ResponseLinesMatchPrintfRendering) {
+  const data::PointSet points = wire_points();
+  const std::string pts = printf_points(points);
+
+  service::QueryResult result;
+  result.points = points;
+  result.metrics.dataset_version = 9;
+  result.metrics.cache_hit = true;
+  result.metrics.dominance_tests = 12345678901ull;
+  result.metrics.wall_ns = 987654321;
+  result.metrics.result_points = 3;
+  const std::string metrics =
+      ",\"metrics\":{\"cache_hit\":true,\"fit_reused\":false,\"dominance_tests\":12345678901,"
+      "\"wall_ns\":987654321,\"result_points\":3}}";
+
+  EXPECT_EQ(server::result_line(service::Query{service::SkylineQuery{}}, result),
+            "{\"ok\":true,\"kind\":\"skyline\",\"version\":9,\"points\":" + pts + metrics);
+
+  result.coverage = {3, 0, 11};
+  result.total_covered = 14;
+  EXPECT_EQ(server::result_line(service::Query{service::RepresentativeQuery{3}}, result),
+            "{\"ok\":true,\"kind\":\"representative\",\"version\":9,\"points\":" + pts +
+                ",\"coverage\":[3,0,11],\"total_covered\":14" + metrics);
+
+  service::QueryResult ranked;
+  ranked.ranking = {{42, 0.1}, {7, 1.0 / 3.0}, {4'000'000'000u, 1e17}};
+  ranked.metrics = result.metrics;
+  const std::string ranking = "[[42," + printf_repr(0.1) + "],[7," + printf_repr(1.0 / 3.0) +
+                              "],[4000000000," + printf_repr(1e17) + "]]";
+  EXPECT_EQ(server::result_line(
+                service::Query{service::TopKWeightedQuery{{0.5, 0.25, 0.25}, 3}}, ranked),
+            "{\"ok\":true,\"kind\":\"top_k_weighted\",\"version\":9,\"ranking\":" + ranking +
+                metrics);
+
+  EXPECT_EQ(server::subscribed_line(5, points),
+            "{\"ok\":true,\"event\":\"subscribed\",\"version\":5,\"skyline\":" + pts + "}");
+
+  service::StreamDelta delta;
+  delta.version = 6;
+  delta.tick = 4;
+  delta.inserted = 2;
+  delta.deleted = 1;
+  delta.expired = 3;
+  delta.missing_deletes = 1;
+  delta.entered = points;
+  delta.left = {1, 2, 4'000'000'001u};
+  EXPECT_EQ(server::delta_line(delta),
+            "{\"ok\":true,\"event\":\"delta\",\"version\":6,\"tick\":4,\"inserted\":2,"
+            "\"deleted\":1,\"expired\":3,\"missing\":1,\"entered\":" +
+                pts + ",\"left\":[1,2,4000000001]}");
+
+  // Empty payloads keep their brackets.
+  EXPECT_EQ(server::subscribed_line(0, data::PointSet(2)),
+            "{\"ok\":true,\"event\":\"subscribed\",\"version\":0,\"skyline\":[]}");
 }
 
 TEST(Protocol, ResponseBuildersEmitSingleLines) {

@@ -3,12 +3,18 @@
 // greeting, request/response across both syntaxes, error containment,
 // admission control, per-session metrics, and connect/disconnect churn
 // against concurrent inserts (ISSUE 6 tentpole).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -227,6 +233,60 @@ TEST(SkylineServer, SessionChurnAgainstConcurrentInserts) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(engine.version(), 2u * kRounds);
   EXPECT_EQ(srv.completed_sessions().size(), kThreads * kRounds);
+}
+
+// LineClient framing against a scripted loopback peer: two lines packed into
+// one write come back one per recv_line, and a line of several hundred KB that
+// arrives over many receive chunks comes back whole, followed by the line that
+// shared its last chunk.
+TEST(SkylineServerLineClient, PackedAndLongLinesComeBackIntact) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+
+  std::string long_line(600 * 1024, ' ');
+  for (std::size_t i = 0; i < long_line.size(); ++i) {
+    long_line[i] = static_cast<char>('a' + (i * 7 + i / 26) % 26);
+  }
+
+  std::thread peer([listener, &long_line] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const auto send_all = [fd](std::string_view bytes) {
+      while (!bytes.empty()) {
+        const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        if (n <= 0) return;
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+      }
+    };
+    send_all("alpha\nbeta\n");
+    const std::string framed = long_line + "\ntail\n";
+    for (std::size_t off = 0; off < framed.size(); off += 1000) {
+      send_all(std::string_view(framed).substr(off, 1000));
+    }
+    ::close(fd);
+  });
+
+  server::LineClient client;
+  client.set_recv_timeout_ms(30'000);
+  client.connect("127.0.0.1", ntohs(addr.sin_port));
+  EXPECT_EQ(client.recv_line(), std::optional<std::string>("alpha"));
+  EXPECT_EQ(client.recv_line(), std::optional<std::string>("beta"));
+  const std::optional<std::string> got = client.recv_line();
+  EXPECT_EQ(got.value_or("").size(), long_line.size());
+  EXPECT_TRUE(got == long_line);
+  EXPECT_EQ(client.recv_line(), std::optional<std::string>("tail"));
+  EXPECT_EQ(client.recv_line(), std::nullopt);  // the peer closed
+  EXPECT_FALSE(client.timed_out());
+  client.close();  // a failed read may have left the peer blocked in send()
+  peer.join();
+  ::close(listener);
 }
 
 }  // namespace
