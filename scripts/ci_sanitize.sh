@@ -55,11 +55,14 @@ FILTER+=':Cancellation*:Deadline*:ProtocolFuzz*'
 # via observe_run (TSan checks the mutex discipline); partition diagnostics
 # feed the planner's analyze stage.
 FILTER+=':AdaptivePlanner*:CostModel*:GrowthFactor*:SchemeAuto*:PartitionStats*'
-# Streaming skylines (ISSUE 9): exact maintenance under deletes/TTL
-# (MaintainedSkyline), windowed eviction, the randomized insert/delete/TTL
-# sweep, and — the part that exists FOR TSan — standing subscriptions racing
-# apply_batch publishers and server drain (Subscription*).
-FILTER+=':MaintainedSkyline*:SlidingWindow*:StreamSweep*:Subscription*:NotifyQueue*'
+# Streaming skylines: exact maintenance under deletes/TTL
+# (MaintainedSkyline), the randomized insert/delete/TTL/window sweeps — their
+# parameterised names start with the instantiation prefix `Cases/`, hence the
+# leading `*` — and, the part that exists FOR TSan, standing subscriptions
+# racing apply_batch publishers and server drain (Subscription*). The QoS
+# selector's adds and removes run on the same maintained structure.
+FILTER+=':MaintainedSkyline*:*StreamSweep*:*StreamTopKSweep*:Subscription*:NotifyQueue*'
+FILTER+=':SkylineServiceSelector*:RemoveService*'
 # Out-of-core block storage (ISSUE 10): mmap'd block reads feeding the
 # threaded pipeline (map tasks touch disjoint blocks concurrently; the
 # verify-once checksum flags are the TSan target), the DatasetSource seam,
@@ -87,5 +90,23 @@ else
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1 halt_on_error=1}"
 fi
 
-"$BUILD_DIR/tests/mrsky_tests" --gtest_filter="$FILTER"
+# A glob that matches no test hides a suite from this gate without failing
+# it, so every glob must list at least one test.
+TESTS="$BUILD_DIR/tests/mrsky_tests"
+dead=0
+IFS=':' read -ra GLOBS <<< "$FILTER"
+for glob in "${GLOBS[@]}"; do
+  listed="$("$TESTS" --gtest_list_tests --gtest_filter="$glob")"
+  if ! grep -q '^  ' <<< "$listed"; then
+    echo "ci_sanitize: filter glob '$glob' matches no test" >&2
+    dead=1
+  fi
+done
+if [[ "$dead" -ne 0 ]]; then
+  exit 1
+fi
+matched="$("$TESTS" --gtest_list_tests --gtest_filter="$FILTER" | grep -c '^  ')"
+echo "== ${KIND} sanitizer run: ${#GLOBS[@]} globs, ${matched} tests"
+
+"$TESTS" --gtest_filter="$FILTER"
 echo "== ${KIND} sanitizer run passed"

@@ -34,7 +34,6 @@
 // Sequential skylines and the service-selection extensions.
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/extensions.hpp"
-#include "src/skyline/incremental.hpp"
 
 // The paper's MapReduce pipeline, its planner, and the cluster cost model
 // (cluster.hpp comes in through mr_skyline.hpp: MRSkylineResult::simulate).

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/error.hpp"
-#include "src/partition/factory.hpp"
 #include "src/skyline/algorithms.hpp"
 
 namespace mrsky::qos {
@@ -39,7 +38,7 @@ bool QosConstraints::admits(std::span<const double> natural_qos) const {
 
 SkylineServiceSelector::SkylineServiceSelector(ServiceCatalog catalog,
                                                core::MRSkylineConfig config)
-    : catalog_(std::move(catalog)), config_(config), global_(catalog_.schema().size()) {}
+    : catalog_(std::move(catalog)), config_(config) {}
 
 const std::vector<WebService>& SkylineServiceSelector::skyline() {
   if (!computed_) full_recompute();
@@ -48,44 +47,25 @@ const std::vector<WebService>& SkylineServiceSelector::skyline() {
 
 void SkylineServiceSelector::full_recompute() {
   MRSKY_REQUIRE(catalog_.size() > 0, "cannot select from an empty catalog");
-  const data::PointSet points = catalog_.to_oriented_points();
-  last_run_ = core::run_mr_skyline(points, config_);
-  global_ = last_run_.skyline;
-
-  // Seed the incremental maintainers with the run's partitioner state and
-  // per-partition local skylines.
-  part::PartitionerOptions popts;
-  popts.num_partitions = config_.effective_partitions();
-  popts.split_dim = config_.split_dim;
-  partitioner_ = part::make_partitioner(config_.scheme, popts);
-  partitioner_->fit(points);
-  local_.clear();
-  local_.reserve(last_run_.local_skylines.size());
-  for (const auto& ls : last_run_.local_skylines) {
-    local_.emplace_back(skyline::IncrementalSkyline(ls));
-  }
-  partition_data_ = part::split_by_partition(*partitioner_, points);
-  incremental_tests_ = 0;
-  refresh_service_view();
+  last_run_ = core::run_mr_skyline(catalog_.to_oriented_points(), config_);
+  maintained_.reset();
+  refresh_service_view(last_run_.skyline);
   computed_ = true;
 }
 
-void SkylineServiceSelector::merge_locals() {
-  data::PointSet merged(catalog_.schema().size());
-  for (const auto& maintainer : local_) {
-    const auto& sky = maintainer.skyline();
-    for (std::size_t i = 0; i < sky.size(); ++i) merged.push_back(sky.point(i), sky.id(i));
+skyline::MaintainedSkyline& SkylineServiceSelector::maintained() {
+  if (!computed_) full_recompute();
+  if (!maintained_) {
+    maintained_.emplace(catalog_.to_oriented_points());
+    load_tests_ = maintained_->stats().dominance_tests;
   }
-  skyline::SkylineStats stats;
-  global_ = skyline::bnl_skyline(merged, &stats);
-  incremental_tests_ += stats.dominance_tests;
-  refresh_service_view();
+  return *maintained_;
 }
 
-void SkylineServiceSelector::refresh_service_view() {
+void SkylineServiceSelector::refresh_service_view(const data::PointSet& global) {
   skyline_services_.clear();
-  skyline_services_.reserve(global_.size());
-  for (data::PointId id : global_.ids()) {
+  skyline_services_.reserve(global.size());
+  for (data::PointId id : global.ids()) {
     auto service = catalog_.find(id);
     MRSKY_ASSERT(service.has_value(), "skyline id missing from catalog");
     if (service) skyline_services_.push_back(std::move(*service));
@@ -93,26 +73,11 @@ void SkylineServiceSelector::refresh_service_view() {
 }
 
 bool SkylineServiceSelector::add_service(std::string name, std::vector<double> qos) {
-  if (!computed_) full_recompute();
+  skyline::MaintainedSkyline& sky = maintained();
   const data::PointId id = catalog_.add(std::move(name), std::move(qos));
-  const WebService& added = catalog_.services().back();
-  const std::vector<double> oriented = catalog_.oriented_qos(added);
-
-  // Paper §II: route the newcomer to its partition's local skyline only.
-  const std::size_t partition = partitioner_->assign(oriented);
-  MRSKY_ASSERT(partition < local_.size(), "partition index out of range");
-  partition_data_[partition].push_back(oriented, id);
-  const std::uint64_t before = local_[partition].stats().dominance_tests;
-  const bool entered_local = local_[partition].insert(oriented, id);
-  incremental_tests_ += local_[partition].stats().dominance_tests - before;
-  if (!entered_local) return false;  // dominated locally => dominated globally
-
-  // Re-integrate local skylines into the global skyline (the Reduce stage).
-  merge_locals();
-  for (data::PointId gid : global_.ids()) {
-    if (gid == id) return true;
-  }
-  return false;
+  const bool entered = sky.insert(catalog_.oriented_qos(catalog_.services().back()), id);
+  if (entered) refresh_service_view(sky.skyline_points());
+  return entered;
 }
 
 std::vector<WebService> SkylineServiceSelector::skyline_within(
@@ -137,47 +102,9 @@ std::vector<WebService> SkylineServiceSelector::skyline_within(
 }
 
 bool SkylineServiceSelector::remove_service(data::PointId id) {
-  if (!computed_) full_recompute();
-  const auto service = catalog_.find(id);
-  if (!service) return false;
-  const std::vector<double> oriented = catalog_.oriented_qos(*service);
-  catalog_.remove(id);
-
-  const std::size_t partition = partitioner_->assign(oriented);
-  MRSKY_ASSERT(partition < partition_data_.size(), "partition index out of range");
-
-  // Drop the victim from its partition's retained data.
-  const data::PointSet& old_data = partition_data_[partition];
-  data::PointSet remaining(old_data.dim());
-  remaining.reserve(old_data.size());
-  for (std::size_t i = 0; i < old_data.size(); ++i) {
-    if (old_data.id(i) != id) remaining.push_back(old_data.point(i), old_data.id(i));
-  }
-  partition_data_[partition] = std::move(remaining);
-
-  // Recompute only that partition's local skyline (points the victim used to
-  // dominate may resurface), then re-merge all local skylines.
-  skyline::SkylineStats stats;
-  const data::PointSet fresh_local =
-      skyline::bnl_skyline(partition_data_[partition], &stats);
-  incremental_tests_ += stats.dominance_tests;
-  local_[partition] = skyline::IncrementalSkyline(fresh_local);
-
-  // MR-Grid edge case: a partition skipped by §III-B pruning has an empty
-  // local skyline because some *other* cell's points dominated all of it.
-  // If the deletion just emptied the victim's cell, that guarantee may have
-  // died with it — revive any pruned-but-populated partition.
-  if (partition_data_[partition].empty()) {
-    for (std::size_t p = 0; p < local_.size(); ++p) {
-      if (local_[p].size() == 0 && !partition_data_[p].empty()) {
-        skyline::SkylineStats revive_stats;
-        local_[p] = skyline::IncrementalSkyline(
-            skyline::bnl_skyline(partition_data_[p], &revive_stats));
-        incremental_tests_ += revive_stats.dominance_tests;
-      }
-    }
-  }
-  merge_locals();
+  skyline::MaintainedSkyline& sky = maintained();
+  if (!catalog_.remove(id)) return false;
+  if (sky.erase(id).was_skyline) refresh_service_view(sky.skyline_points());
   return true;
 }
 

@@ -2,19 +2,21 @@
 //
 // Wraps a ServiceCatalog and an MRSkylineConfig into the workflow the paper
 // motivates: compute the skyline of all registered services with the
-// MapReduce pipeline, and keep it current as new services register without
-// recomputing from scratch (paper §II: "the new service is first mapped into
-// a group and added into the local skyline computation. Then all local
-// skylines are integrated into the global skyline at the Reduce stage").
+// MapReduce pipeline, and keep it current as services register and withdraw
+// without recomputing from scratch (paper §II: "the new service is first
+// mapped into a group and added into the local skyline computation"). The
+// upkeep runs on the library's one maintenance structure,
+// skyline::MaintainedSkyline, over every registered service — the same
+// structure the QueryEngine's writes run on.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/core/mr_skyline.hpp"
-#include "src/partition/partitioner.hpp"
 #include "src/qos/catalog.hpp"
-#include "src/skyline/incremental.hpp"
+#include "src/skyline/maintained.hpp"
 
 namespace mrsky::qos {
 
@@ -42,13 +44,15 @@ class SkylineServiceSelector {
   SkylineServiceSelector(ServiceCatalog catalog, core::MRSkylineConfig config = {});
 
   /// The current global skyline as full service records (natural units).
-  /// First call (and any call after a batch of registrations) computes it.
+  /// The first call runs the full MapReduce pipeline; later calls return the
+  /// skyline the adds and removes keep current.
   [[nodiscard]] const std::vector<WebService>& skyline();
 
   /// Registers a new service and updates the skyline incrementally: the
-  /// service is assigned to its partition, that partition's local skyline is
-  /// updated, and the global merge re-runs over local skylines only.
-  /// Returns true iff the new service joined the global skyline.
+  /// first add or remove after the full run loads every registered service
+  /// into a skyline::MaintainedSkyline, and each add is one insert into it —
+  /// no pipeline re-run. Returns true iff the new service joined the global
+  /// skyline.
   bool add_service(std::string name, std::vector<double> qos);
 
   /// Constrained selection: the skyline of only those services admitted by
@@ -58,11 +62,9 @@ class SkylineServiceSelector {
   [[nodiscard]] std::vector<WebService> skyline_within(const QosConstraints& constraints) const;
 
   /// Deregisters a service (provider withdrawal). Removal can resurrect
-  /// points the victim used to dominate, so the selector keeps each
-  /// partition's full point set and recomputes only the victim's partition
-  /// local skyline before re-merging — the deletion analogue of the paper's
-  /// "compare only within the subdivided group" argument. Returns false when
-  /// the id is unknown.
+  /// points the victim used to dominate; the maintained structure re-examines
+  /// exactly the victim's exclusive dominees, and the skyline is republished
+  /// only when the victim was on it. Returns false when the id is unknown.
   bool remove_service(data::PointId id);
 
   [[nodiscard]] const ServiceCatalog& catalog() const noexcept { return catalog_; }
@@ -70,25 +72,25 @@ class SkylineServiceSelector {
   /// Metrics of the last full MapReduce run (empty before the first run).
   [[nodiscard]] const core::MRSkylineResult& last_run() const;
 
-  /// Dominance tests spent on incremental maintenance since the last full run.
+  /// Dominance tests the maintained structure spent on adds and removes
+  /// since it was loaded (the load itself is not counted); 0 before the
+  /// first add or remove after a full run.
   [[nodiscard]] std::uint64_t incremental_dominance_tests() const noexcept {
-    return incremental_tests_;
+    return maintained_ ? maintained_->stats().dominance_tests - load_tests_ : 0;
   }
 
  private:
   void full_recompute();
-  void merge_locals();
-  void refresh_service_view();
+  /// Loads maintained_ from every registered service, once per full run.
+  skyline::MaintainedSkyline& maintained();
+  void refresh_service_view(const data::PointSet& global);
 
   ServiceCatalog catalog_;
   core::MRSkylineConfig config_;
-  part::PartitionerPtr partitioner_;
-  std::vector<skyline::IncrementalSkyline> local_;  ///< per-partition maintainers
-  std::vector<data::PointSet> partition_data_;      ///< full per-partition data (deletions)
-  data::PointSet global_;                           ///< oriented global skyline
+  std::optional<skyline::MaintainedSkyline> maintained_;
+  std::uint64_t load_tests_ = 0;  ///< maintained_'s dominance tests at its load
   std::vector<WebService> skyline_services_;
   core::MRSkylineResult last_run_;
-  std::uint64_t incremental_tests_ = 0;
   bool computed_ = false;
 };
 

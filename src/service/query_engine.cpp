@@ -13,6 +13,7 @@
 #include "src/partition/factory.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/extensions.hpp"
+#include "src/skyline/maintained.hpp"
 
 namespace mrsky::service {
 
@@ -294,8 +295,6 @@ void QueryEngine::publish_full_skyline(const EngineSnapshot& snap, const data::P
   std::lock_guard<std::mutex> write_lock(write_mutex_);
   const EngineSnapshotPtr current = snapshot();
   if (current->version != snap.version || current->full_skyline != nullptr) return;
-  fold_.emplace(sky);
-  fold_version_ = snap.version;
   auto next = std::make_shared<EngineSnapshot>();
   next->version = snap.version;
   next->dataset = current->dataset;
@@ -312,9 +311,9 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
       Overloaded{
           [&](const SkylineQuery&) {
             if (snap.full_skyline != nullptr) {
-              // The pinned snapshot carries a current skyline (insert-time
-              // fold or an earlier pipeline run, with the cache entry evicted
-              // or caching off): serve it directly.
+              // The pinned snapshot carries a current skyline (maintained by
+              // a write or from an earlier pipeline run, with the cache entry
+              // evicted or caching off): serve it directly.
               counters_.incremental_serves.fetch_add(1, std::memory_order_relaxed);
               result.points = *snap.full_skyline;
               return;
@@ -323,8 +322,8 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
             result.points = pipeline_skyline(dataset, cfg, fit_memo_key(snap.version, cfg, "full"),
                                              result, cancel);
             // A query that was cancelled between task-loop polls may still
-            // hold a complete skyline; it must NOT become the resident fold —
-            // the caller sees the typed abort, so nothing it produced may be
+            // hold a complete skyline; it must NOT ride the snapshot — the
+            // caller sees the typed abort, so nothing it produced may be
             // observable (decision 13).
             cancel.throw_if_stopped("full-skyline publication");
             publish_full_skyline(snap, result.points);
@@ -361,8 +360,8 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
           [&](const TopKWeightedQuery& q) {
             cancel.throw_if_stopped("top-k scan");
             // Top-k ranks skyline members only, so a snapshot that carries
-            // its skyline (every streaming one; a non-streaming one after a
-            // skyline read or an insert fold) is ranked as it stands — the
+            // its skyline (every one a write published; the construction
+            // snapshot after a skyline read) is ranked as it stands — the
             // same members with the same bits as BNL over every row.
             if (snap.full_skyline != nullptr) {
               span.arg("topk_from", "snapshot");
@@ -457,52 +456,15 @@ std::vector<QueryResult> QueryEngine::execute_batch(std::span<const Query> queri
 }
 
 std::uint64_t QueryEngine::insert_batch(const data::PointSet& points) {
-  // In streaming mode every mutation goes through apply_batch, so a plain
-  // insert still respects windows/TTL and publishes a delta to subscribers.
-  if (streaming()) {
-    MutationBatch batch;
-    batch.inserts = points;
-    return apply_batch(batch).snapshot->version;
-  }
-  // Writers serialise here; readers keep serving their pinned snapshots and
-  // only observe the insert at the final pointer swap.
-  std::lock_guard<std::mutex> write_lock(write_mutex_);
-  const EngineSnapshotPtr old = snapshot();
-  MRSKY_REQUIRE(points.dim() == old->dataset->dim(),
-                "insert_batch dimension mismatch: batch has " + std::to_string(points.dim()) +
-                    " attributes, dataset has " + std::to_string(old->dataset->dim()));
-  if (points.empty()) return old->version;
-
-  common::ScopedSpan span(options_.trace, "insert-batch", "service");
-  span.arg("points", points.size());
-  span.arg("version", old->version + 1);
-  counters_.inserts.fetch_add(1, std::memory_order_relaxed);
-  counters_.points_inserted.fetch_add(points.size(), std::memory_order_relaxed);
-
-  const bool fold = fold_.has_value() && fold_version_ == old->version;
-  auto grown = std::make_shared<data::PointSet>(*old->dataset);
-  grown->reserve(grown->size() + points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const data::PointId id = next_id_++;
-    grown->push_back(points.point(i), id);
-    if (fold) fold_->insert(points.point(i), id);
-  }
-
-  auto next = std::make_shared<EngineSnapshot>();
-  next->version = old->version + 1;
-  next->dataset = std::move(grown);
-  if (fold) {
-    fold_version_ = next->version;
-    next->full_skyline =
-        std::make_shared<const data::PointSet>(canonical_by_id(fold_->skyline()));
-    span.arg("skyline_points", next->full_skyline->size());
-  } else {
-    fold_.reset();
-  }
-  const EngineSnapshotPtr published = next;
-  set_snapshot(std::move(next));
-  purge_derived_state(published);
-  return published->version;
+  // The dimension never changes, so any snapshot can check it.
+  const std::size_t dim = snapshot()->dataset->dim();
+  MRSKY_REQUIRE(points.dim() == dim, "insert_batch dimension mismatch: batch has " +
+                                         std::to_string(points.dim()) +
+                                         " attributes, dataset has " + std::to_string(dim));
+  if (points.empty()) return version();
+  MutationBatch batch;
+  batch.inserts = points;
+  return apply_batch(batch).snapshot->version;
 }
 
 void QueryEngine::purge_derived_state(const EngineSnapshotPtr& published) {
@@ -528,23 +490,16 @@ void QueryEngine::purge_derived_state(const EngineSnapshotPtr& published) {
     cache_index_.clear();
   }
 
-  if (published->full_skyline != nullptr) {
-    // Refresh the full-skyline entry at the new version: the one query kind
-    // a write does NOT invalidate.
-    CachedPayload payload;
-    payload.points = *published->full_skyline;
-    cache_store(cache_key(Query{SkylineQuery{}}, published->version), published->version,
-                payload);
-  }
+  // Refresh the full-skyline entry at the new version: the one query kind a
+  // write does NOT invalidate.
+  CachedPayload payload;
+  payload.points = *published->full_skyline;
+  cache_store(cache_key(Query{SkylineQuery{}}, published->version), published->version, payload);
 }
 
 void QueryEngine::engage_streaming(const data::PointSet& dataset) {
   maintained_ = std::make_unique<skyline::MaintainedSkyline>(dataset);
   for (data::PointId id : dataset.ids()) arrival_order_.push_back(id);
-  // The IncrementalSkyline fold cannot process deletions; the maintained
-  // structure replaces it for good.
-  fold_.reset();
-  streaming_.store(true, std::memory_order_release);
 }
 
 void QueryEngine::publish_delta(const StreamDelta& delta) {
@@ -576,7 +531,19 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
                     std::to_string(batch.ttl_ticks.size()) + " ttls for " +
                     std::to_string(batch.inserts.size()) + " inserts)");
 
-  if (maintained_ == nullptr) engage_streaming(*old->dataset);
+  // The rows the rebuild below copies from, in ascending-id order. Every
+  // snapshot a write published is; the construction snapshot keeps its
+  // input's order (a z-ordered .mrb, a CSV id column), so the first write
+  // sorts a copy of it. The count window still takes that input order as
+  // the arrival order.
+  std::shared_ptr<const data::PointSet> prev_rows = old->dataset;
+  if (maintained_ == nullptr) {
+    engage_streaming(*old->dataset);
+    const std::span<const data::PointId> ids = old->dataset->ids();
+    if (!std::is_sorted(ids.begin(), ids.end())) {
+      prev_rows = std::make_shared<const data::PointSet>(canonical_by_id(*old->dataset));
+    }
+  }
   ++tick_;
 
   common::ScopedSpan span(options_.trace, "apply-batch", "service");
@@ -638,16 +605,16 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
     }
   }
 
-  // Publish: streaming snapshots canonicalise the dataset to ascending-id
-  // order and always carry the exact full skyline. The previous snapshot is
-  // already ascending and fresh ids sort after every existing one, so the
-  // next dataset is the previous rows copied in runs — one bulk append per
-  // stretch between removed ids, found by binary search — then the new rows.
-  // NOT a re-canonicalisation of the whole live set from the hash index,
-  // which would make every tick pay an O(n log n) scatter-sort for a handful
-  // of mutations.
+  // Publish: every written snapshot holds its dataset in ascending-id order
+  // and carries the exact full skyline. The previous rows are ascending and
+  // fresh ids sort after every existing one, so the next dataset is the
+  // previous rows copied in runs — one bulk append per stretch between
+  // removed ids, found by binary search — then the new rows. NOT a
+  // re-canonicalisation of the whole live set from the hash index, which
+  // would make every tick pay an O(n log n) scatter-sort for a handful of
+  // mutations.
   std::sort(removed_ids.begin(), removed_ids.end());
-  const data::PointSet& prev = *old->dataset;
+  const data::PointSet& prev = *prev_rows;
   const std::span<const data::PointId> prev_ids = prev.ids();
   const std::size_t dim = prev.dim();
   auto live = std::make_shared<data::PointSet>(dim);

@@ -23,18 +23,20 @@
 //    default options), so a subspace read after a write ships only the rows
 //    no representative dominates;
 //  * top-k reads rank the pinned snapshot's skyline when it carries one
-//    (every streaming snapshot does), instead of a BNL over every row;
+//    (every snapshot a write published does), instead of a BNL over every
+//    row;
 //  * results are kept in an LRU cache keyed by the query's canonical
 //    signature plus the dataset version, so a repeated query is a lookup;
-//  * insert_batch() folds new points into the resident full skyline through
-//    skyline::IncrementalSkyline (no pipeline re-run) and publishes a new
-//    snapshot, which invalidates exactly the derived (subspace / k-skyband /
-//    representative / top-k) entries.
+//  * every write — insert_batch() is one apply_batch() tick with inserts
+//    only — runs on one skyline::MaintainedSkyline, loaded from the resident
+//    rows at the first write (no pipeline re-run), and publishes a snapshot
+//    that carries the exact full skyline, which invalidates exactly the
+//    derived (subspace / k-skyband / representative / top-k) entries.
 //
 // Result canonicalisation: skyline, subspace and k-skyband results are
 // returned in ascending-id order, so the engine's answer for a given
 // (query, dataset version) is bitwise reproducible regardless of which path
-// (pipeline, incremental fold, cache) produced it. Representative picks stay
+// (pipeline, maintained skyline, cache) produced it. Representative picks stay
 // in greedy pick order (aligned with their coverage counts) and rankings in
 // score order — both deterministic.
 //
@@ -63,7 +65,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -80,8 +81,10 @@
 #include "src/partition/partitioner.hpp"
 #include "src/service/query.hpp"
 #include "src/service/stream.hpp"
-#include "src/skyline/incremental.hpp"
-#include "src/skyline/maintained.hpp"
+
+namespace mrsky::skyline {
+class MaintainedSkyline;
+}  // namespace mrsky::skyline
 
 namespace mrsky::service {
 
@@ -105,11 +108,11 @@ struct QueryEngineOptions {
   }();
 
   /// Result-cache entries kept (LRU eviction). 0 disables result caching —
-  /// fits and the incremental full skyline are still reused.
+  /// fits and the snapshot's full skyline are still reused.
   std::size_t cache_capacity = 64;
 
   /// Optional span recorder: the engine records "service"-category spans
-  /// (query, prepared-fit, insert-batch) and threads the recorder through the
+  /// (query, prepared-fit, apply-batch) and threads the recorder through the
   /// pipeline's RunOptions, so one file holds the service and engine levels.
   /// Must outlive the engine. Null = tracing off at zero cost.
   common::TraceRecorder* trace = nullptr;
@@ -121,8 +124,8 @@ struct QueryEngineOptions {
 
   /// Streaming time window: default TTL, in logical ticks, for points
   /// inserted without an explicit per-point TTL. 0 = no default expiry.
-  /// Either window option puts insert_batch() on the apply_batch path from
-  /// the first call, so plain inserts respect the window too.
+  /// insert_batch() is an apply_batch tick, so plain inserts respect either
+  /// window too.
   std::uint64_t window_ticks = 0;
 
   /// Undelivered deltas buffered per subscription before the oldest is
@@ -138,10 +141,10 @@ struct EngineSnapshot {
   std::uint64_t version = 0;
   std::shared_ptr<const data::PointSet> dataset;
   /// Canonical (ascending-id) full skyline at `version` when known —
-  /// computed by a pipeline run at this version, maintained by the
-  /// insert-time incremental fold, or by streaming's MaintainedSkyline
-  /// (every streaming snapshot carries one). Otherwise null until the first
-  /// skyline query. Skyline and top-k reads serve from it when present.
+  /// computed by a pipeline run at this version, or maintained by the
+  /// engine's MaintainedSkyline (every snapshot a write published carries
+  /// one). Otherwise null until the first skyline query. Skyline and top-k
+  /// reads serve from it when present.
   std::shared_ptr<const data::PointSet> full_skyline;
 };
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
@@ -162,8 +165,8 @@ class QueryEngine {
   explicit QueryEngine(data::PointSet dataset, QueryEngineOptions options = {});
 
   /// Loads the dataset from any DatasetSource (block store, staged CSV,
-  /// in-memory). Serving is resident by design — queries, inserts and the
-  /// incremental fold all need random access — so the source is materialised
+  /// in-memory). Serving is resident by design — queries, writes and the
+  /// maintained skyline all need random access — so the source is materialised
   /// once here; out-of-core execution is the batch pipeline's job
   /// (run_mr_skyline's DatasetSource overload), not the engine's
   /// (DESIGN.md decision 16).
@@ -197,34 +200,26 @@ class QueryEngine {
 
   /// Appends `points` to the resident dataset under fresh ids (the incoming
   /// ids are ignored; ids continue from max-existing + 1, the §II "new
-  /// service added into UDDI" path). Builds and publishes the next snapshot —
-  /// derived cache entries become unreachable and are purged (counted in
-  /// Stats::cache_evictions) — and, when a full skyline is resident, folds
-  /// the new points into it incrementally and re-seeds its cache entry
-  /// instead of discarding it. Writers serialise; readers are never blocked
-  /// beyond the snapshot pointer swap. Returns the version this batch
-  /// published (the still-current version for an empty no-op batch) — under
+  /// service added into UDDI" path). A non-empty batch is one apply_batch
+  /// tick with inserts only: windows, TTL defaults and subscriptions see it
+  /// like any other write, and the published snapshot carries the full
+  /// skyline, so the next skyline read is a cache hit. Throws
+  /// mrsky::InvalidArgument on a dimension mismatch, even for an empty
+  /// batch. Returns the version this batch published (the still-current
+  /// version for an empty no-op batch, which publishes no tick) — under
   /// concurrency, version() may already be newer by the time the caller asks.
   std::uint64_t insert_batch(const data::PointSet& points);
 
-  /// Applies one streaming tick — TTL expiry, explicit deletes, inserts,
-  /// window eviction, in that order — and publishes the next snapshot plus
-  /// its skyline delta (ISSUE 9 tentpole). The first call engages streaming
-  /// mode: the resident dataset is bulk-loaded into an exact
-  /// skyline::MaintainedSkyline, and from then on every published snapshot
+  /// Applies one tick — TTL expiry, explicit deletes, inserts, window
+  /// eviction, in that order — and publishes the next snapshot plus its
+  /// skyline delta. The first write loads the resident dataset into an exact
+  /// skyline::MaintainedSkyline; from then on every published snapshot
   /// carries the full skyline (ascending-id dataset, exact under deletion —
   /// deleting a skyline member promotes exactly its exclusive dominees).
-  /// Writers serialise with insert_batch; readers still only see the pointer
-  /// swap. Deltas are fanned out to live subscriptions under the same writer
-  /// ordering, so every subscriber observes versions in publication order.
+  /// Writers serialise; readers only see the pointer swap. Deltas are fanned
+  /// out to live subscriptions under the same writer ordering, so every
+  /// subscriber observes versions in publication order.
   ApplyResult apply_batch(const MutationBatch& batch);
-
-  /// True once apply_batch has engaged streaming (or a window option forces
-  /// the first insert_batch onto the apply path).
-  [[nodiscard]] bool streaming() const noexcept {
-    return streaming_.load(std::memory_order_acquire) || options_.window_capacity > 0 ||
-           options_.window_ticks > 0;
-  }
 
   /// Registers a standing continuous-skyline query: the returned subscription
   /// carries a base (version, full skyline) pair and receives the delta of
@@ -257,7 +252,7 @@ class QueryEngine {
     std::uint64_t fits_computed = 0;
     std::uint64_t fit_reuses = 0;
     std::uint64_t pipeline_runs = 0;
-    std::uint64_t incremental_serves = 0;  ///< skyline served from the fold
+    std::uint64_t incremental_serves = 0;  ///< skyline served from the snapshot's skyline
     std::uint64_t inserts = 0;
     std::uint64_t points_inserted = 0;
     std::uint64_t cache_evictions = 0;  ///< LRU capacity + insert-purge evictions
@@ -267,7 +262,7 @@ class QueryEngine {
     std::uint64_t plan_reuses = 0;      ///< queries served from the plan memo
     std::uint64_t plan_predicted_ns = 0;  ///< summed predicted pipeline wall (planned runs)
     std::uint64_t plan_actual_ns = 0;     ///< summed measured pipeline wall (planned runs)
-    // Streaming (apply_batch) activity.
+    // Write (apply_batch) activity; a plain insert_batch is one apply_batch.
     std::uint64_t apply_batches = 0;
     std::uint64_t points_deleted = 0;   ///< explicit deletes that hit a live point
     std::uint64_t points_expired = 0;   ///< TTL expiries + count-window evictions
@@ -341,21 +336,22 @@ class QueryEngine {
                                     const common::CancellationToken& cancel,
                                     common::ScopedSpan& span);
 
-  /// After a pipeline computed the full skyline at `snap`'s version: seed the
-  /// insert-time fold and re-publish the snapshot with the skyline attached,
-  /// unless a concurrent insert moved the version on (then the result is
-  /// still correct for its version; it just cannot become the resident fold).
+  /// After a pipeline computed the full skyline at `snap`'s version:
+  /// re-publish the snapshot with the skyline attached, unless a concurrent
+  /// write moved the version on (then the result is still correct for its
+  /// version; it just cannot ride the current snapshot).
   void publish_full_skyline(const EngineSnapshot& snap, const data::PointSet& sky);
 
   void set_snapshot(EngineSnapshotPtr snap);
 
   /// Drops version-derived state after a write (fit memo, plan memo, result
   /// cache — evictions counted) and re-seeds the full-skyline cache entry for
-  /// `published` when it carries one. Shared by insert_batch and apply_batch.
+  /// `published`, which carries one.
   void purge_derived_state(const EngineSnapshotPtr& published);
 
-  /// Engages streaming mode (caller holds write_mutex_): bulk-loads the
-  /// maintained structure from `dataset` and records arrival order.
+  /// At the first write (caller holds write_mutex_): bulk-loads the
+  /// maintained structure from `dataset` and records its rows' order as the
+  /// count window's arrival order.
   void engage_streaming(const data::PointSet& dataset);
 
   /// Fans `delta` out to live subscriptions (prunes dead ones).
@@ -371,20 +367,13 @@ class QueryEngine {
   mutable std::mutex snapshot_mutex_;
   EngineSnapshotPtr snapshot_;
 
-  /// Serialises writers: insert_batch, apply_batch and first-skyline
-  /// publication. Guards next_id_, the incremental fold, and the streaming
-  /// state below. Mutable so tick() can read under it.
+  /// Serialises writers: apply_batch (and so insert_batch) and first-skyline
+  /// publication. Guards next_id_ and the write state below. Mutable so
+  /// tick() can read under it.
   mutable std::mutex write_mutex_;
   data::PointId next_id_ = 0;
-  /// The resident fold, maintained across insert_batch() calls. Valid iff
-  /// engaged and fold_version_ matches the published snapshot's version.
-  /// Superseded by maintained_ once streaming engages (apply_batch resets it).
-  std::optional<skyline::IncrementalSkyline> fold_;
-  std::uint64_t fold_version_ = 0;
 
-  /// Streaming state (guarded by write_mutex_; streaming_ is the lock-free
-  /// "has apply_batch ever run" flag insert_batch routes on).
-  std::atomic<bool> streaming_{false};
+  /// The one maintenance structure: null until the first write loads it.
   std::unique_ptr<skyline::MaintainedSkyline> maintained_;
   std::uint64_t tick_ = 0;
   /// Pending TTL expiries: (expires_at_tick, id) min-heap, checked lazily

@@ -165,18 +165,6 @@ data::PointSet MaintainedSkyline::skyline_points() const {
   return out;
 }
 
-data::PointSet MaintainedSkyline::live_points() const {
-  std::vector<std::uint32_t> slots;
-  slots.reserve(index_.size());
-  for (const auto& [id, slot] : index_) slots.push_back(slot);
-  std::sort(slots.begin(), slots.end(),
-            [this](std::uint32_t a, std::uint32_t b) { return nodes_[a].id < nodes_[b].id; });
-  data::PointSet out(dim_);
-  out.reserve(slots.size());
-  for (std::uint32_t slot : slots) out.push_back(coords(slot), nodes_[slot].id);
-  return out;
-}
-
 std::vector<data::PointId> MaintainedSkyline::skyline_ids() const {
   std::vector<data::PointId> ids;
   ids.reserve(skyline_slots_.size());

@@ -1,12 +1,15 @@
-// Exact skyline maintenance under insertions AND deletions (ISSUE 9).
+// Exact skyline maintenance under insertions AND deletions — the library's
+// one maintenance structure. QueryEngine writes (apply_batch, and
+// insert_batch through it) and the qos::SkylineServiceSelector's adds and
+// removes all run on it, each loading it from its live rows at the first
+// write (DESIGN.md decision 20).
 //
-// IncrementalSkyline (incremental.hpp) keeps only the skyline itself, which
-// is why its header rules deletions out of scope: removing a skyline member
-// can resurrect points it was hiding, and the skyline alone cannot say which.
-// This class keeps the bookkeeping that makes deletion exact without a full
-// recompute — the streaming-skyline literature's "exclusive dominance set"
-// idea (Lin et al., "Stabbing the sky", ICDE'05; Tao & Papadias' sliding-
-// window maintenance):
+// A structure that kept only the skyline could not delete: removing a
+// skyline member can resurrect points it was hiding, and the skyline alone
+// cannot say which. This class keeps the bookkeeping that makes deletion
+// exact without a full recompute — the streaming-skyline literature's
+// "exclusive dominance set" idea (Lin et al., "Stabbing the sky", ICDE'05;
+// Tao & Papadias' sliding-window maintenance):
 //
 //  * every live point is either a skyline member or is parked under exactly
 //    ONE skyline member that dominates it (its GUARD);
@@ -44,8 +47,8 @@ class MaintainedSkyline {
   /// Empty structure over `dim`-dimensional points (dim >= 1).
   explicit MaintainedSkyline(std::size_t dim);
 
-  /// Bulk load: inserts every point of `ps` in order. Duplicate ids are
-  /// rejected (the structure is keyed by id).
+  /// Bulk load: inserts every point of `ps` in order — O(n·|SKY|) dominance
+  /// tests. Duplicate ids are rejected (the structure is keyed by id).
   explicit MaintainedSkyline(const data::PointSet& ps);
 
   /// Offers a live point under `id` (must not be live already). Returns true
@@ -77,8 +80,6 @@ class MaintainedSkyline {
 
   /// Canonical (ascending-id) copy of the current skyline.
   [[nodiscard]] data::PointSet skyline_points() const;
-  /// Canonical (ascending-id) copy of the whole live set.
-  [[nodiscard]] data::PointSet live_points() const;
   /// Ascending ids of the current skyline.
   [[nodiscard]] std::vector<data::PointId> skyline_ids() const;
 

@@ -17,6 +17,8 @@
 // keeps the row count but misplaces a row fails. StreamSweepEdges replays
 // schedules aimed at the rebuild's boundaries: deletes of the first and the
 // last live id every tick, and a count window smaller than one insert batch.
+// StreamSweepShuffled replays StreamSweep's schedules from an initial set
+// whose rows are not in id order.
 //
 // A slice of cases also runs a skyline query at a streamed version, proving
 // the pipeline path agrees with the maintained structure.
@@ -422,6 +424,35 @@ TEST_P(StreamSweepEdges, BoundaryDeletesAndSameTickEvictionsKeepEveryRow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, StreamSweepEdges, testing::Range<std::uint64_t>(0, 32),
+                         [](const auto& param_info) {
+                           return "case" + std::to_string(param_info.param);
+                         });
+
+/// StreamSweep's schedules from a shuffled initial set. The construction
+/// snapshot keeps its input's row order, which need not be ascending by id (a
+/// z-ordered .mrb, a CSV with an id column), so the first write must put the
+/// rows in id order before it copies runs between removed ids. The count
+/// window's arrival order is the construction row order, in the engine and
+/// in the oracle alike. The shuffle draws from its own Rng, so make_case's
+/// schedules are the ones StreamSweep replays.
+class StreamSweepShuffled : public StreamSweep {};
+
+TEST_P(StreamSweepShuffled, UnorderedInitialRowsMatchRecomputeEveryTick) {
+  StreamCase c = make_case(GetParam());
+  common::Rng rng(GetParam() * 0xd1b54a32ull + 0x5bfull);
+  std::vector<std::size_t> order(c.initial.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_index(i)]);
+  }
+  c.initial = c.initial.select(order);
+  ASSERT_FALSE(std::is_sorted(c.initial.ids().begin(), c.initial.ids().end()))
+      << c.description;
+  c.description += " shuffled";
+  replay_and_check(c, /*run_query=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, StreamSweepShuffled, testing::Range<std::uint64_t>(0, 24),
                          [](const auto& param_info) {
                            return "case" + std::to_string(param_info.param);
                          });

@@ -156,7 +156,7 @@ TEST(QueryEngine, InsertInvalidatesDerivedEntriesButKeepsSkyline) {
   EXPECT_EQ(engine.dataset().size(), ps.size() + extra.size());
   EXPECT_EQ(engine.fit_entries(), 0u);  // stale fits must never serve pruning
 
-  // The full skyline survives the insert (incremental fold, cache re-seeded).
+  // The full skyline survives the insert (maintained, cache re-seeded).
   const auto sky = engine.execute(service::SkylineQuery{});
   EXPECT_TRUE(sky.metrics.cache_hit);
   EXPECT_EQ(sky.metrics.dataset_version, 1u);
@@ -174,11 +174,59 @@ TEST(QueryEngine, InsertBeforeAnySkylineQueryStillExact) {
   service::QueryEngine engine(workload(200, 3, 5), {});
   engine.insert_batch(workload(50, 3, 6));
   EXPECT_EQ(engine.version(), 1u);
+  // The first write loads the maintained skyline, so the insert's snapshot
+  // carries the full skyline and the read needs no pipeline run.
+  ASSERT_NE(engine.snapshot()->full_skyline, nullptr);
 
   const auto sky = engine.execute(service::SkylineQuery{});
-  EXPECT_FALSE(sky.metrics.cache_hit);
-  EXPECT_EQ(engine.stats().incremental_serves, 0u);
+  EXPECT_TRUE(sky.metrics.cache_hit);
+  EXPECT_EQ(engine.stats().pipeline_runs, 0u);
   EXPECT_EQ(bits_of(sky.points), bits_of(canonical(skyline::bnl_skyline(engine.dataset()))));
+}
+
+/// insert_batch is one apply_batch tick with inserts only: fed the same
+/// batches, an engine written through each publishes the same versions,
+/// ticks, snapshot rows and skyline bits — whether or not a skyline read
+/// came first. An empty insert_batch publishes nothing, even on an engine
+/// that has already written.
+TEST(QueryEngine, InsertBatchIsOneApplyBatchTick) {
+  for (const bool read_first : {false, true}) {
+    const std::string where = read_first ? "skyline read first" : "no read first";
+    const data::PointSet ps = workload(240, 3, 61);
+    service::QueryEngine inserted(ps, {});
+    service::QueryEngine applied(ps, {});
+    if (read_first) {
+      (void)inserted.execute(service::SkylineQuery{});
+      (void)applied.execute(service::SkylineQuery{});
+    }
+    for (std::uint64_t round = 0; round < 4; ++round) {
+      const data::PointSet batch = workload(30, 3, 62 + round);
+      service::MutationBatch mutation;
+      mutation.inserts = batch;
+      const std::uint64_t version = inserted.insert_batch(batch);
+      const service::ApplyResult r = applied.apply_batch(mutation);
+
+      const std::uint64_t tick = applied.tick();
+      EXPECT_EQ(applied.insert_batch(data::PointSet(3)), r.snapshot->version)
+          << where << " round " << round;
+      EXPECT_EQ(applied.version(), r.snapshot->version) << where << " round " << round;
+      EXPECT_EQ(applied.tick(), tick) << where << " round " << round;
+
+      EXPECT_EQ(version, r.snapshot->version) << where << " round " << round;
+      EXPECT_EQ(inserted.tick(), applied.tick()) << where << " round " << round;
+
+      const service::EngineSnapshotPtr snap = inserted.snapshot();
+      EXPECT_EQ(bits_of(*snap->dataset), bits_of(*r.snapshot->dataset))
+          << where << " round " << round;
+      ASSERT_NE(snap->full_skyline, nullptr) << where << " round " << round;
+      EXPECT_EQ(bits_of(*snap->full_skyline), bits_of(*r.snapshot->full_skyline))
+          << where << " round " << round;
+      EXPECT_EQ(bits_of(*snap->full_skyline),
+                bits_of(canonical(skyline::bnl_skyline(*snap->dataset))))
+          << where << " round " << round;
+    }
+    EXPECT_EQ(inserted.stats().apply_batches, 4u) << where;
+  }
 }
 
 TEST(QueryEngine, RepeatedInsertsKeepFoldExact) {
@@ -297,6 +345,22 @@ TEST(QueryEngine, InsertEdgeCases) {
   EXPECT_THROW(service::QueryEngine(data::PointSet(3), {}), InvalidArgument);
 }
 
+/// The maintained skyline is keyed by id, so the first write on rows that
+/// repeat an id throws and leaves the engine as it was; reads still serve.
+TEST(QueryEngine, FirstWriteOnDuplicateIdsThrowsAndChangesNothing) {
+  const data::PointSet ps = workload(60, 3, 71);
+  data::PointSet dup = ps;
+  dup.push_back(ps.point(1), ps.id(0));
+  service::QueryEngine engine(dup, {});
+  EXPECT_THROW(engine.insert_batch(workload(5, 3, 72)), InvalidArgument);
+  EXPECT_EQ(engine.version(), 0u);
+  EXPECT_EQ(engine.tick(), 0u);
+  EXPECT_EQ(engine.snapshot()->full_skyline, nullptr);
+  EXPECT_EQ(engine.stats().apply_batches, 0u);
+  EXPECT_EQ(engine.execute(service::SkylineQuery{}).points.size(),
+            skyline::bnl_skyline(dup).size());
+}
+
 TEST(QueryEngine, AutoSchemeAnswersMatchStaticEngineBitwise) {
   const auto ps = workload(1500, 4, 97);
   service::QueryEngineOptions auto_options;
@@ -356,10 +420,10 @@ std::vector<std::string> topk_sources(const common::TraceRecorder& trace) {
   return sources;
 }
 
-/// A non-streaming engine ranks the whole dataset until a skyline is
-/// resident, then ranks that skyline: after a skyline read and after an
-/// insert fold. Both paths must return the same bits — on the quarter grid
-/// too, where duplicate rows tie in score and the order falls to their ids.
+/// An engine ranks the whole dataset until a skyline is resident, then
+/// ranks that skyline: after a skyline read and after an insert. Both paths
+/// must return the same bits — on the quarter grid too, where duplicate rows
+/// tie in score and the order falls to their ids.
 TEST(QueryEngine, TopKRanksTheResidentSkylineWithTheSameBits) {
   for (const bool quarter_grid : {false, true}) {
     data::PointSet ps = workload(1500, 4, 29);

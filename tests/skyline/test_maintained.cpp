@@ -204,17 +204,5 @@ TEST(MaintainedSkyline, CountersAreDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(MaintainedSkyline, LivePointsIsAscendingAndComplete) {
-  MaintainedSkyline ms(2);
-  (void)ms.insert(std::vector<double>{2.0, 2.0}, 5);
-  (void)ms.insert(std::vector<double>{1.0, 1.0}, 3);
-  (void)ms.insert(std::vector<double>{3.0, 3.0}, 1);
-  const PointSet live = ms.live_points();
-  ASSERT_EQ(live.size(), 3u);
-  EXPECT_EQ(live.id(0), 1u);
-  EXPECT_EQ(live.id(1), 3u);
-  EXPECT_EQ(live.id(2), 5u);
-}
-
 }  // namespace
 }  // namespace mrsky::skyline
