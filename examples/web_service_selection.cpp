@@ -56,8 +56,11 @@ int main(int argc, char** argv) {
   std::cout << (selector.add_service("worst-in-class", poor) ? "joined the skyline" : "rejected")
             << "\n";
 
-  std::cout << "\nincremental maintenance cost since the full run: "
-            << selector.incremental_dominance_tests() << " dominance tests\n"
+  // The first registration loads every service into the maintained
+  // structure; each registration after that pays only its own update.
+  std::cout << "\nmaintenance since the full run: " << selector.load_dominance_tests()
+            << " dominance tests to load the registry, then "
+            << selector.incremental_dominance_tests() << " for the two registrations\n"
             << "(the full MapReduce run needed "
             << selector.last_run().partition_job.total_work_units() +
                    selector.last_run().merge_job().total_work_units()

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -19,22 +18,69 @@ PointSet concat(const PointSet& a, const PointSet& b) {
   return out;
 }
 
+namespace {
+
+/// The entries of a partial Fisher-Yates shuffle of the identity array that
+/// differ from their position: an open-addressing table sized for `draws`
+/// swaps, so the shuffle costs O(draws), not O(population).
+class DisplacedPositions {
+ public:
+  explicit DisplacedPositions(std::size_t draws) {
+    int bits = 4;  // at least 16 slots, at most half of them used
+    while ((std::size_t{1} << bits) < 2 * draws) ++bits;
+    shift_ = 64 - bits;
+    mask_ = (std::size_t{1} << bits) - 1;
+    slots_.assign(mask_ + 1, Slot{kEmpty, 0});
+  }
+
+  /// The value at `pos`: the one stored there, else `pos` itself.
+  [[nodiscard]] std::size_t get(std::size_t pos) const {
+    for (std::size_t s = home(pos);; s = (s + 1) & mask_) {
+      if (slots_[s].pos == pos) return slots_[s].value;
+      if (slots_[s].pos == kEmpty) return pos;
+    }
+  }
+
+  void set(std::size_t pos, std::size_t value) {
+    std::size_t s = home(pos);
+    while (slots_[s].pos != pos && slots_[s].pos != kEmpty) s = (s + 1) & mask_;
+    slots_[s] = Slot{pos, value};
+  }
+
+ private:
+  static constexpr std::size_t kEmpty = ~std::size_t{0};
+  struct Slot {
+    std::size_t pos;
+    std::size_t value;
+  };
+  [[nodiscard]] std::size_t home(std::size_t pos) const {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(pos) * 0x9e3779b97f4a7c15ULL) >>
+                                    shift_);
+  }
+  int shift_ = 0;
+  std::size_t mask_ = 0;
+  std::vector<Slot> slots_;
+};
+
+}  // namespace
+
 PointSet sample_without_replacement(const PointSet& ps, std::size_t k, common::Rng& rng) {
   MRSKY_REQUIRE(k <= ps.size(), "sample size exceeds population");
-  // Partial Fisher-Yates over an index array, then back to input order: a
-  // bitmap of the chosen rows, read in row order, costs less than sorting
-  // their indices and yields the same order.
-  std::vector<std::size_t> indices(ps.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t j = i + static_cast<std::size_t>(rng.uniform_index(indices.size() - i));
-    std::swap(indices[i], indices[j]);
-  }
+  // Partial Fisher-Yates over a virtual index array: draw i swaps positions
+  // i and j >= i, and only positions a swap moved are stored. Position i is
+  // never read again, so its drawn row goes straight into a bitmap of the
+  // chosen rows; read in row order, the bitmap (n / 64 words) restores input
+  // order for less than sorting k indices costs.
+  DisplacedPositions displaced(k);
   std::vector<std::uint64_t> chosen((ps.size() + 63) / 64, 0);
   for (std::size_t i = 0; i < k; ++i) {
-    chosen[indices[i] / 64] |= std::uint64_t{1} << (indices[i] % 64);
+    const std::size_t j = i + static_cast<std::size_t>(rng.uniform_index(ps.size() - i));
+    const std::size_t row = displaced.get(j);
+    chosen[row / 64] |= std::uint64_t{1} << (row % 64);
+    displaced.set(j, displaced.get(i));
   }
-  indices.clear();
+  std::vector<std::size_t> indices;
+  indices.reserve(k);
   for (std::size_t w = 0; w < chosen.size(); ++w) {
     for (std::uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
       indices.push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));

@@ -16,8 +16,9 @@ namespace mrsky::data {
 /// must match.
 [[nodiscard]] PointSet concat(const PointSet& a, const PointSet& b);
 
-/// `k` points sampled without replacement, in original order (deterministic
-/// reservoir-style selection under `rng`). Requires k <= ps.size().
+/// `k` points sampled without replacement, in original order: a partial
+/// Fisher-Yates shuffle under `rng` that stores only the positions it moved,
+/// so the draws cost O(k) whatever ps.size() is. Requires k <= ps.size().
 [[nodiscard]] PointSet sample_without_replacement(const PointSet& ps, std::size_t k,
                                                   common::Rng& rng);
 

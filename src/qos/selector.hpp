@@ -73,10 +73,17 @@ class SkylineServiceSelector {
   [[nodiscard]] const core::MRSkylineResult& last_run() const;
 
   /// Dominance tests the maintained structure spent on adds and removes
-  /// since it was loaded (the load itself is not counted); 0 before the
-  /// first add or remove after a full run.
+  /// since it was loaded (the load itself is not counted; see
+  /// load_dominance_tests()); 0 before the first add or remove after a full
+  /// run.
   [[nodiscard]] std::uint64_t incremental_dominance_tests() const noexcept {
     return maintained_ ? maintained_->stats().dominance_tests - load_tests_ : 0;
+  }
+
+  /// Dominance tests the maintained structure spent loading every registered
+  /// service at the first add or remove after a full run; 0 before it.
+  [[nodiscard]] std::uint64_t load_dominance_tests() const noexcept {
+    return maintained_ ? load_tests_ : 0;
   }
 
  private:

@@ -1,6 +1,9 @@
 #include "src/service/query_engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <type_traits>
@@ -49,12 +52,106 @@ std::string memo_key(std::uint64_t version, const Parts&... parts) {
 }
 
 /// Fit-memo key at `version`: everything that shapes the fit (scheme,
-/// partitions, fit sample), then `what` was fitted ("full", or "sub:" and
-/// the subspace's attributes).
+/// partitions, fit sample), then `what` was fitted ("full"; "sub:" and the
+/// subspace's attributes for every projected row; "skyline-sub:" and them
+/// for the snapshot skyline's subspace candidates).
 std::string fit_memo_key(std::uint64_t version, const core::MRSkylineConfig& cfg,
                          const std::string& what) {
   return memo_key(version, "/", part::to_string(cfg.scheme), "/p", cfg.effective_partitions(),
                   "/s", cfg.fit_sample_size, ".", cfg.fit_sample_seed, "/", what);
+}
+
+/// A hash of `row`'s values on `attributes` that rows equal there by value
+/// share: adding +0.0 turns −0.0 into +0.0 and leaves every other value as
+/// it is.
+std::uint64_t subspace_hash(const double* row, std::span<const std::size_t> attributes) {
+  std::uint64_t h = 0;
+  for (const std::size_t a : attributes) {
+    h = std::rotl(h, 29) ^ std::bit_cast<std::uint64_t>(row[a] + 0.0);
+  }
+  return h * 0x9e3779b97f4a7c15ULL;
+}
+
+/// True when `sky` (ascending ids) holds row `i` of `rows`: a row with its id
+/// and its coordinate bits. The bits matter when a hand-built dataset gives
+/// two rows one id.
+bool holds_row(const data::PointSet& sky, const data::PointSet& rows, std::size_t i) {
+  const std::span<const data::PointId> ids = sky.ids();
+  const std::span<const double> row = rows.point(i);
+  const auto [first, last] = std::equal_range(ids.begin(), ids.end(), rows.id(i));
+  for (auto it = first; it != last; ++it) {
+    const std::span<const double> member = sky.point(static_cast<std::size_t>(it - ids.begin()));
+    if (std::memcmp(member.data(), row.data(), row.size_bytes()) == 0) return true;
+  }
+  return false;
+}
+
+/// The rows a subspace skyline over `attributes` can hold, given `sky`, the
+/// exact full skyline of `rows` in ascending-id order: every member of `sky`,
+/// plus every other row equal on the subspace to a member of `sky`'s own
+/// subspace skyline — projected, in ascending-id order. A row outside `sky`
+/// has a dominator in `sky`, no worse on any attribute of the subspace, so it
+/// is on the subspace skyline only when tied with that dominator there, and
+/// then the dominator is on it too (DESIGN.md decision 18).
+///
+/// The tie pass is one sweep over `rows`. Equality is by value, so −0.0 ties
+/// +0.0, as under skyline::dominates.
+data::PointSet subspace_candidates(const data::PointSet& rows, const data::PointSet& sky,
+                                   std::span<const std::size_t> attributes) {
+  const std::size_t width = attributes.size();
+  const data::PointSet front = data::project(sky, attributes);
+
+  // The distinct points of `sky`'s subspace skyline in an open-addressing
+  // table keyed by subspace_hash, at most 1/16 of its slots used: a row whose
+  // home slot is empty, nearly every row, ties none of them, and the sweep
+  // rules it out without a branch.
+  const data::PointSet targets = skyline::bnl_skyline(front);
+  std::vector<std::size_t> own(width);  // `targets`' own columns
+  std::iota(own.begin(), own.end(), std::size_t{0});
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 16 * targets.size()) ++bits;
+  const int shift = 64 - bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<std::uint32_t> table(mask + 1, 0);  // a target + 1; 0 = empty
+  const auto tied = [&](const double* row, std::span<const std::size_t> on) {
+    for (std::size_t s = subspace_hash(row, on) >> shift; table[s] != 0; s = (s + 1) & mask) {
+      const std::size_t t = table[s] - 1;
+      std::size_t j = 0;
+      while (j < width && targets.at(t, j) == row[on[j]]) ++j;
+      if (j == width) return true;
+    }
+    return false;
+  };
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const double* point = targets.point(t).data();
+    if (tied(point, own)) continue;  // an equal point is in already
+    std::size_t s = subspace_hash(point, own) >> shift;
+    while (table[s] != 0) s = (s + 1) & mask;
+    table[s] = static_cast<std::uint32_t>(t + 1);
+  }
+
+  // `sky` projected, then every tied row it does not hold.
+  data::PointSet out = front;
+  std::vector<double> projected(width);
+  const double* data = rows.raw().data();
+  const std::size_t dim = rows.dim();
+  constexpr std::size_t kChunk = 256;
+  std::array<std::uint32_t, kChunk> home_taken{};
+  for (std::size_t base = 0; base < rows.size(); base += kChunk) {
+    const std::size_t end = std::min(rows.size(), base + kChunk);
+    std::size_t count = 0;
+    for (std::size_t i = base; i < end; ++i) {
+      home_taken[count] = static_cast<std::uint32_t>(i - base);
+      count += table[subspace_hash(data + i * dim, attributes) >> shift] != 0 ? 1 : 0;
+    }
+    for (std::size_t c = 0; c < count; ++c) {
+      const std::size_t i = base + home_taken[c];
+      if (!tied(data + i * dim, attributes) || holds_row(sky, rows, i)) continue;
+      for (std::size_t j = 0; j < width; ++j) projected[j] = data[i * dim + attributes[j]];
+      out.push_back(projected, rows.id(i));
+    }
+  }
+  return canonical_by_id(out);
 }
 
 template <class... Ts>
@@ -329,19 +426,28 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
             publish_full_skyline(snap, result.points);
           },
           [&](const SubspaceQuery& q) {
-            const data::PointSet projected = data::project(dataset, q.attributes);
+            // A snapshot that carries its full skyline runs the pipeline on
+            // that skyline and the rows tied with it on the subspace; one
+            // without (the construction snapshot before any skyline read)
+            // on every projected row. Both give the same bits.
+            const bool from_skyline = snap.full_skyline != nullptr;
+            const data::PointSet input =
+                from_skyline ? subspace_candidates(dataset, *snap.full_skyline, q.attributes)
+                             : data::project(dataset, q.attributes);
+            span.arg("subspace_from", from_skyline ? "skyline" : "dataset");
+            span.arg("candidates", input.size());
             // Subspace pipelines reuse the full-dataset plan's shape: the
             // projection is derived data at the same version, and planning
             // per attribute subset would multiply planner work for marginal
-            // gain (the fit is still per-subspace via the key suffix).
+            // gain (the fit is still per input via the key suffix).
             const core::MRSkylineConfig cfg = resolved_config(snap, result.metrics);
-            std::string subspace = "sub:";
+            std::string subspace = from_skyline ? "skyline-sub:" : "sub:";
             for (std::size_t i = 0; i < q.attributes.size(); ++i) {
               if (i > 0) subspace += ',';
               subspace += std::to_string(q.attributes[i]);
             }
-            result.points = pipeline_skyline(
-                projected, cfg, fit_memo_key(snap.version, cfg, subspace), result, cancel);
+            result.points = pipeline_skyline(input, cfg, fit_memo_key(snap.version, cfg, subspace),
+                                             result, cancel);
           },
           [&](const KSkybandQuery& q) {
             cancel.throw_if_stopped("k-skyband scan");

@@ -11,10 +11,10 @@
 //  * the dataset is loaded once and owned by the engine;
 //  * one persistent common::ThreadPool backs every kThreads pipeline run;
 //  * partition fits are memoised per (version, scheme, partitions,
-//    fit-sample[, attribute-subset]) key and reused until an insert changes
+//    fit-sample[, subspace input]) key and reused until an insert changes
 //    the data; each fit reads at most 4,096 sampled rows
-//    (core::kOutOfCoreFitSample, set in the default options), so a subspace
-//    read after a write never fits on the whole registry;
+//    (core::kOutOfCoreFitSample, set in the default options), so no read
+//    fits on the whole registry;
 //  * under scheme=auto, the adaptive plan (core::AdaptivePlanner) is memoised
 //    per dataset version the same way — planned once, reused by every query
 //    at that version, invalidated by insert_batch;
@@ -25,6 +25,10 @@
 //  * top-k reads rank the pinned snapshot's skyline when it carries one
 //    (every snapshot a write published does), instead of a BNL over every
 //    row;
+//  * subspace reads on such a snapshot run the pipeline on its skyline plus
+//    the rows tied with it on the subspace (one sweep over the rows finds
+//    them), not on every projected row: a subspace skyline holds nothing
+//    else;
 //  * results are kept in an LRU cache keyed by the query's canonical
 //    signature plus the dataset version, so a repeated query is a lookup;
 //  * every write — insert_batch() is one apply_batch() tick with inserts
@@ -143,8 +147,8 @@ struct EngineSnapshot {
   /// Canonical (ascending-id) full skyline at `version` when known —
   /// computed by a pipeline run at this version, or maintained by the
   /// engine's MaintainedSkyline (every snapshot a write published carries
-  /// one). Otherwise null until the first skyline query. Skyline and top-k
-  /// reads serve from it when present.
+  /// one). Otherwise null until the first skyline query. Skyline, top-k and
+  /// subspace reads start from it when present.
   std::shared_ptr<const data::PointSet> full_skyline;
 };
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
@@ -331,7 +335,9 @@ class QueryEngine {
   /// Computes a fresh payload for `query` against the pinned snapshot.
   /// `span` is the query's span: a top-k read records which rows it ranked
   /// (`topk_from` = "snapshot" for the snapshot's skyline, "dataset" for a
-  /// BNL over every row).
+  /// BNL over every row); a subspace read records its pipeline's input
+  /// (`subspace_from` = "skyline" for the snapshot skyline and its ties,
+  /// "dataset" for every projected row; `candidates` = its rows).
   [[nodiscard]] QueryResult compute(const EngineSnapshot& snap, const Query& query,
                                     const common::CancellationToken& cancel,
                                     common::ScopedSpan& span);

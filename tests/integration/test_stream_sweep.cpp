@@ -25,7 +25,10 @@
 //
 // StreamTopKSweep replays the same schedules through one engine and, after
 // every tick, checks the top-k reads that rank the snapshot's skyline
-// against top_k_weighted over the oracle's live rows.
+// against top_k_weighted over the oracle's live rows. StreamSubspaceSweep
+// does the same for subspace reads, which run the pipeline on the snapshot's
+// skyline and the rows tied with it, against the naive skyline of the
+// oracle's projected live rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +47,7 @@
 #include "src/dataset/generators.hpp"
 #include "src/dataset/normalize.hpp"
 #include "src/dataset/qws.hpp"
+#include "src/dataset/transforms.hpp"
 #include "src/service/query_engine.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/extensions.hpp"
@@ -534,6 +539,105 @@ TEST_P(StreamTopKSweep, TopKRanksTheSnapshotSkylineEveryTick) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, StreamTopKSweep, testing::Range<std::uint64_t>(0, 200),
+                         [](const auto& param_info) {
+                           return "case" + std::to_string(param_info.param);
+                         });
+
+/// Every attribute subset of a `dim`-attribute case in ascending order, then
+/// a permuted one ({dim-1, 0}), a repeated one ({1, 1}) and all attributes
+/// reversed.
+std::vector<std::vector<std::size_t>> subspaces_of(std::size_t dim) {
+  std::vector<std::vector<std::size_t>> out;
+  for (std::size_t mask = 1; mask < (std::size_t{1} << dim); ++mask) {
+    std::vector<std::size_t> attributes;
+    for (std::size_t a = 0; a < dim; ++a) {
+      if ((mask >> a) & 1U) attributes.push_back(a);
+    }
+    out.push_back(std::move(attributes));
+  }
+  out.push_back({dim - 1, 0});
+  out.push_back({1, 1});
+  std::vector<std::size_t> reversed(dim);
+  for (std::size_t a = 0; a < dim; ++a) reversed[a] = dim - 1 - a;
+  out.push_back(std::move(reversed));
+  return out;
+}
+
+/// Subspace reads from the snapshot's skyline: StreamSweep's schedules, every
+/// fourth snapped to the quarter grid (rows tied on a subspace with a member
+/// of the full skyline they are not in), and the zeros of every third row
+/// stored as −0.0. After every tick, every subspace of subspaces_of() must
+/// read bitwise equal to the naive skyline of the oracle's projected live
+/// rows, in id order, and come from the snapshot's skyline (the query span's
+/// `subspace_from`), never every projected row.
+class StreamSubspaceSweep : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StreamSubspaceSweep, SubspaceReadsTheSnapshotSkylineEveryTick) {
+  StreamCase c = make_case(GetParam());
+  const bool quarter_grid = GetParam() % 4 == 0;
+  if (quarter_grid) {
+    c.initial = test::snap_to_quarter_grid(c.initial);
+    for (service::MutationBatch& batch : c.schedule) {
+      batch.inserts = test::snap_to_quarter_grid(batch.inserts);
+    }
+    c.description += " quarter-grid";
+  }
+  c.initial = test::with_negative_zeros(c.initial);
+  for (service::MutationBatch& batch : c.schedule) {
+    batch.inserts = test::with_negative_zeros(batch.inserts);
+  }
+
+  common::TraceRecorder trace;
+  service::QueryEngineOptions options;
+  options.window_capacity = c.window_capacity;
+  options.window_ticks = c.window_ticks;
+  options.cache_capacity = 0;  // every read computes; none is a cache hit
+  options.trace = &trace;
+  service::QueryEngine engine(c.initial, options);
+  StreamOracle oracle(c.initial, c.window_capacity, c.window_ticks);
+
+  const std::vector<std::vector<std::size_t>> subspaces = subspaces_of(c.initial.dim());
+  std::size_t tied_rows = 0;  // answer rows outside the full skyline
+  for (std::size_t t = 0; t < c.schedule.size(); ++t) {
+    const service::ApplyResult applied = engine.apply_batch(c.schedule[t]);
+    oracle.apply(c.schedule[t]);
+    const data::PointSet live = oracle.live();
+    const std::span<const data::PointId> full = applied.snapshot->full_skyline->ids();
+    for (const std::vector<std::size_t>& attributes : subspaces) {
+      std::string where = c.description + " tick " + std::to_string(t + 1) + " subspace";
+      for (const std::size_t a : attributes) {
+        where += ' ';
+        where += std::to_string(a);
+      }
+      const auto got = engine.execute(service::Query{service::SubspaceQuery{attributes}});
+      EXPECT_TRUE(SkylineBits(got.points) ==
+                  SkylineBits(canonical_by_id(
+                      skyline::naive_skyline(data::project(live, attributes)))))
+          << where;
+      for (const data::PointId id : got.points.ids()) {
+        if (!std::binary_search(full.begin(), full.end(), id)) ++tied_rows;
+      }
+    }
+  }
+  // The tie pass is exercised: on the quarter grid, subspace skylines hold
+  // rows the full skyline does not.
+  if (quarter_grid) {
+    EXPECT_GT(tied_rows, 0U) << c.description;
+  }
+
+  std::size_t read = 0;
+  for (const common::TraceSpan& s : trace.spans()) {
+    const common::TraceArg* kind = s.name == "query" ? s.find_arg("kind") : nullptr;
+    if (kind == nullptr || kind->value != "subspace") continue;
+    ++read;
+    const common::TraceArg* from = s.find_arg("subspace_from");
+    ASSERT_NE(from, nullptr) << c.description;
+    EXPECT_EQ(from->value, "skyline") << c.description;
+  }
+  EXPECT_EQ(read, subspaces.size() * c.schedule.size()) << c.description;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, StreamSubspaceSweep, testing::Range<std::uint64_t>(0, 200),
                          [](const auto& param_info) {
                            return "case" + std::to_string(param_info.param);
                          });

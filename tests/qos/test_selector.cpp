@@ -108,6 +108,19 @@ TEST(SkylineServiceSelector, IncrementalIsCheaperThanRecompute) {
   EXPECT_LT(selector.incremental_dominance_tests(), full_tests);
 }
 
+TEST(SkylineServiceSelector, LoadTestsAreCountedApartFromEachWrite) {
+  SkylineServiceSelector selector(ServiceCatalog::synthetic(2000, 4, 9), small_config());
+  (void)selector.skyline();
+  EXPECT_EQ(selector.load_dominance_tests(), 0u);
+  (void)selector.add_service("first", {500.0, 90.0, 10.0, 80.0});
+  const std::uint64_t load = selector.load_dominance_tests();
+  const std::uint64_t first = selector.incremental_dominance_tests();
+  EXPECT_GT(load, first);  // the load scans every service; one insert does not
+  (void)selector.add_service("second", {400.0, 95.0, 20.0, 70.0});
+  EXPECT_EQ(selector.load_dominance_tests(), load);
+  EXPECT_GT(selector.incremental_dominance_tests(), first);
+}
+
 TEST(SkylineServiceSelector, EmptyCatalogThrowsOnQuery) {
   SkylineServiceSelector selector(ServiceCatalog(data::qws_schema(2)), small_config());
   EXPECT_THROW((void)selector.skyline(), mrsky::InvalidArgument);

@@ -470,29 +470,112 @@ TEST(QueryEngine, FitsOnABoundedSampleWithTheSameAnswers) {
       common::TraceRecorder trace;
       service::QueryEngineOptions options;
       options.config.scheme = scheme;
+      options.cache_capacity = 0;  // the second subspace read computes again
       options.trace = &trace;
       service::QueryEngine engine(ps, options);
 
+      // Before any skyline read the subspace read fits on a bounded sample of
+      // every projected row; after it, on all of the snapshot skyline's
+      // candidates, which are fewer than the bound.
+      const auto sub_dataset = engine.execute(service::SubspaceQuery{attrs});
       const auto full = engine.execute(service::SkylineQuery{});
-      const auto sub = engine.execute(service::SubspaceQuery{attrs});
+      const auto sub_skyline = engine.execute(service::SubspaceQuery{attrs});
       core::MRSkylineConfig algorithm1;
       algorithm1.scheme = scheme;
       EXPECT_EQ(bits_of(full.points),
                 bits_of(canonical(core::run_mr_skyline(ps, algorithm1).skyline)))
           << where;
-      EXPECT_EQ(bits_of(sub.points),
-                bits_of(canonical(core::run_mr_skyline(data::project(ps, attrs), algorithm1)
-                                      .skyline)))
-          << where;
+      const auto sub_want = bits_of(
+          canonical(core::run_mr_skyline(data::project(ps, attrs), algorithm1).skyline));
+      EXPECT_EQ(bits_of(sub_dataset.points), sub_want) << where;
+      EXPECT_EQ(bits_of(sub_skyline.points), sub_want) << where;
 
       std::vector<std::int64_t> fitted;
+      std::vector<std::int64_t> candidates;
       for (const common::TraceSpan& s : trace.spans()) {
         if (s.name == "prepared-fit") fitted.push_back(s.arg_int("fitted_points"));
+        if (s.name == "query" && s.find_arg("candidates") != nullptr) {
+          candidates.push_back(s.arg_int("candidates"));
+        }
       }
       const auto want = static_cast<std::int64_t>(std::min(n, core::kOutOfCoreFitSample));
-      EXPECT_EQ(fitted, (std::vector<std::int64_t>{want, want})) << where;
+      ASSERT_EQ(candidates.size(), 2U) << where;
+      EXPECT_EQ(candidates[0], static_cast<std::int64_t>(n)) << where;
+      EXPECT_LT(candidates[1], want) << where;
+      EXPECT_EQ(fitted, (std::vector<std::int64_t>{want, want, candidates[1]})) << where;
     }
   }
+}
+
+/// The construction snapshot answers subspace reads from every projected row
+/// until a skyline read attaches the full skyline, then from that skyline and
+/// the rows tied with it. Quarter-grid rows tie on every subspace, and every
+/// third row stores its zeros as −0.0; permuted, repeated and single-attribute
+/// subspaces included. Both paths must read bitwise what run_mr_skyline
+/// computes over the projection.
+TEST(QueryEngine, SubspaceReadsTheSnapshotSkylineWithTheSameBits) {
+  const data::PointSet ps =
+      test::with_negative_zeros(test::snap_to_quarter_grid(workload(400, 4, 23)));
+  const std::vector<std::vector<std::size_t>> subspaces = {
+      {0, 2}, {3, 0}, {1, 1}, {2}, {0, 1, 2, 3}, {3, 2, 1}};
+  common::TraceRecorder trace;
+  service::QueryEngineOptions options;
+  options.cache_capacity = 0;  // reads after the skyline read compute again
+  options.trace = &trace;
+  service::QueryEngine engine(ps, options);
+
+  std::vector<data::PointSet> from_dataset;
+  for (const auto& attrs : subspaces) {
+    from_dataset.push_back(engine.execute(service::SubspaceQuery{attrs}).points);
+  }
+  (void)engine.execute(service::SkylineQuery{});
+  ASSERT_NE(engine.snapshot()->full_skyline, nullptr);
+  for (std::size_t i = 0; i < subspaces.size(); ++i) {
+    const auto from_skyline = engine.execute(service::SubspaceQuery{subspaces[i]});
+    const auto want = bits_of(canonical(
+        core::run_mr_skyline(data::project(ps, subspaces[i]), core::MRSkylineConfig{}).skyline));
+    EXPECT_EQ(bits_of(from_dataset[i]), want) << "subspace " << i;
+    EXPECT_EQ(bits_of(from_skyline.points), want) << "subspace " << i;
+  }
+
+  std::vector<std::string> paths;
+  std::vector<std::int64_t> candidates;
+  for (const common::TraceSpan& s : trace.spans()) {
+    const common::TraceArg* from = s.name == "query" ? s.find_arg("subspace_from") : nullptr;
+    if (from == nullptr) continue;
+    paths.push_back(from->value);
+    candidates.push_back(s.arg_int("candidates"));
+  }
+  std::vector<std::string> want_paths(subspaces.size(), "dataset");
+  want_paths.resize(2 * subspaces.size(), "skyline");
+  EXPECT_EQ(paths, want_paths);
+  ASSERT_EQ(candidates.size(), want_paths.size());
+  for (std::size_t i = 0; i < subspaces.size(); ++i) {
+    EXPECT_EQ(candidates[i], static_cast<std::int64_t>(ps.size())) << "subspace " << i;
+    EXPECT_LT(candidates[subspaces.size() + i], static_cast<std::int64_t>(ps.size()))
+        << "subspace " << i;
+  }
+}
+
+/// A hand-built dataset may give two rows one id. Row 1 shares row 0's id,
+/// is off the full skyline (row 0 dominates it) and ties row 0 on {0, 1}, so
+/// the subspace skyline holds it: the skyline path must not take it for the
+/// full-skyline member that carries its id.
+TEST(QueryEngine, SubspaceFromTheSkylineKeepsATiedRowSharingAnId) {
+  data::PointSet ps(3);
+  ps.push_back(std::vector<double>{0.1, 0.5, 0.9}, 7);
+  ps.push_back(std::vector<double>{0.1, 0.5, 0.95}, 7);
+  ps.push_back(std::vector<double>{0.5, 0.1, 0.2}, 8);
+  ps.push_back(std::vector<double>{0.6, 0.6, 0.6}, 9);
+  service::QueryEngineOptions options;
+  options.cache_capacity = 0;
+  service::QueryEngine engine(ps, options);
+  const std::vector<std::size_t> attrs = {0, 1};
+  const auto from_dataset = engine.execute(service::SubspaceQuery{attrs});
+  ASSERT_EQ(engine.execute(service::SkylineQuery{}).points.size(), 2u);
+  const auto from_skyline = engine.execute(service::SubspaceQuery{attrs});
+  EXPECT_EQ(from_dataset.points.size(), 3u);
+  EXPECT_EQ(bits_of(from_skyline.points), bits_of(from_dataset.points));
 }
 
 TEST(QueryEngine, StaticSchemeNeverTouchesPlanMemo) {
