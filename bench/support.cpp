@@ -51,7 +51,6 @@ std::string display_name(part::Scheme scheme) {
     case part::Scheme::kAngularRadial: return "MR-Angle-R";
     case part::Scheme::kPivot: return "MR-Pivot";
     case part::Scheme::kRandom: return "MR-Random";
-    case part::Scheme::kAuto: return "MR-Auto";
   }
   return "?";
 }

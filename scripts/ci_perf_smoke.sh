@@ -27,7 +27,7 @@ cmake -B "$BUILD" -S "$ROOT" \
   -DMRSKY_BUILD_BENCH=ON \
   -DMRSKY_BUILD_EXAMPLES=OFF \
   -DMRSKY_WARNINGS_AS_ERRORS=ON
-cmake --build "$BUILD" -j --target micro_kernels mrsky mrsky_tests bench_query_engine ablation_planner bench_stream bench_out_of_core bench_server_load
+cmake --build "$BUILD" -j --target micro_kernels mrsky mrsky_tests bench_query_engine bench_stream bench_out_of_core bench_server_load
 
 # Kernel correctness: AVX2-vs-portable property tests, the pipeline identity
 # test (DominanceBlock.SimdToggleChangesNeitherPipelineResultsNorCounters;
@@ -75,16 +75,6 @@ done
   --json "$RESULTS/query_engine.json" \
   --check --min-warm-speedup 5
 
-# Adaptive planner gate (ISSUE 8 acceptance): at perf scale scheme=auto's
-# ex-planning pipeline wall must be within 10% (+ noise floor) of the best
-# static scheme on every workload family, with bitwise-identical skylines and
-# bounded planning overhead. Asserted (--check), and the sweep is landed as
-# machine-readable JSON next to the other perf results.
-"$BUILD/bench/ablation_planner" \
-  --cardinality 60000 --dim 5 --seed 2012 --repeats 3 \
-  --json "$RESULTS/planner_sweep.json" \
-  --check
-
 # Streaming maintenance gate (ISSUE 9 acceptance): on a resident set large
 # enough that a from-scratch recompute per tick hurts, maintained apply_batch
 # must process events at >= 5x the recompute baseline's rate, with the final
@@ -126,4 +116,4 @@ mkdir -p "$OOC"
   --json "$RESULTS/out_of_core.json" \
   --check
 
-echo "== perf smoke passed: results identical; timings in $RESULTS/micro_kernels.json, $RESULTS/query_engine.json, $RESULTS/planner_sweep.json, $RESULTS/stream_sweep.json, $RESULTS/server_load.json and $RESULTS/out_of_core.json"
+echo "== perf smoke passed: results identical; timings in $RESULTS/micro_kernels.json, $RESULTS/query_engine.json, $RESULTS/stream_sweep.json, $RESULTS/server_load.json and $RESULTS/out_of_core.json"

@@ -18,8 +18,6 @@
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
-#include "src/core/adaptive_planner.hpp"
-#include "src/core/cost_model.hpp"
 #include "src/dataset/transforms.hpp"
 #include "src/skyline/dominance_block.hpp"
 
@@ -153,52 +151,6 @@ bool dominated_by_representatives(const skyline::TiledWindow& reps, const double
   }
   tests = reps.size();
   return false;
-}
-
-/// scheme=auto: resolve the configuration through the adaptive planner, run
-/// the pipeline with the winner, refine the process-wide cost model with
-/// what actually happened and fold the planning time into the reported
-/// wall. `Data` is a PointSet or a DatasetSource; the planner samples
-/// either (a source block by block, discounting map and shuffle costs by
-/// the predicted block-prune savings).
-template <typename Data>
-MRSkylineResult run_planned(const Data& data, const MRSkylineConfig& config) {
-  AdaptivePlannerOptions popts;
-  popts.sample_seed = config.fit_sample_seed;
-  const AdaptivePlanner planner(popts);
-  AdaptivePlan plan;
-  {
-    common::ScopedSpan plan_span(config.run_options.trace, "adaptive-plan", "plan");
-    plan = planner.plan(data, config);
-    plan_span.arg("scheme", part::to_string(plan.config.scheme));
-    plan_span.arg("partitions", plan.config.effective_partitions());
-    plan_span.arg("candidates", plan.candidates.size());
-    plan_span.arg("fallback", plan.fallback ? 1 : 0);
-    plan_span.arg("sample_points", plan.sample_points);
-  }
-  MRSkylineResult result = run_mr_skyline(data, plan.config);
-
-  std::uint64_t work = result.partition_job.total_work_units();
-  std::uint64_t shuffled = result.partition_job.shuffle_records;
-  for (const auto& round : result.merge_rounds) {
-    work += round.total_work_units();
-    shuffled += round.shuffle_records;
-  }
-  CostModel::process().observe_run(work, shuffled, result.wall_seconds);
-
-  result.plan.engaged = true;
-  result.plan.fallback = plan.fallback;
-  result.plan.scheme = plan.config.scheme;
-  result.plan.partitions = plan.config.effective_partitions();
-  result.plan.merge_fan_in = plan.config.merge_fan_in;
-  result.plan.salted = plan.config.salt_oversized_partitions;
-  result.plan.candidates = plan.candidates.size();
-  result.plan.sample_points = plan.sample_points;
-  result.plan.predicted_seconds = plan.fallback ? 0.0 : plan.chosen.total_seconds();
-  result.plan.planning_seconds = plan.planning_seconds;
-  result.plan.rationale = plan.rationale;
-  result.wall_seconds += plan.planning_seconds;
-  return result;
 }
 
 /// Rebuild a PointSet from shuffled records (shared by combine/reduce/merge).
@@ -696,13 +648,6 @@ BlockPrune prune_blocks(const data::DatasetSource& source, const data::PointSet&
 MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfig& config) {
   config.validate_or_throw();
   MRSKY_REQUIRE(!input.empty(), "cannot compute the skyline of an empty dataset");
-
-  // A prepared partitioner bypasses the planner — the existing contract is
-  // that `scheme` is ignored when the caller hands in a fitted partitioner
-  // (the QueryEngine plans before preparing).
-  if (config.scheme == part::Scheme::kAuto && config.prepared_partitioner == nullptr) {
-    return run_planned(input, config);
-  }
   common::Timer wall;
   common::TraceRecorder* const trace = config.run_options.trace;
   common::ScopedSpan pipeline_span(trace, "mr-skyline", "pipeline");
@@ -761,9 +706,6 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
     return run_mr_skyline(*resident, config);
   }
   MRSKY_REQUIRE(source.size() > 0, "cannot compute the skyline of an empty dataset");
-  if (config.scheme == part::Scheme::kAuto && config.prepared_partitioner == nullptr) {
-    return run_planned(source, config);
-  }
 
   common::Timer wall;
   common::TraceRecorder* const trace = config.run_options.trace;

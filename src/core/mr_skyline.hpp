@@ -92,8 +92,7 @@ struct MRSkylineConfig {
   /// and so `partition_report` — counts only the surviving rows; the
   /// dropped rows are Σ map records_in − Σ routed_records. Streamed runs
   /// pick the representatives from the fit sample block pruning uses,
-  /// resident runs from representative_sample(). The adaptive planner does
-  /// not model the filter (DESIGN.md decision 17).
+  /// resident runs from representative_sample() (DESIGN.md decision 17).
   bool representative_filter = false;
 
   /// MR-Dim only: attribute carrying the slabs.
@@ -159,8 +158,8 @@ struct MRSkylineConfig {
   /// Validates every config-level precondition and returns ALL violations —
   /// one human-readable message per problem, empty when the config is usable.
   /// Unlike the first-failure MRSKY_REQUIRE style this used to be spread
-  /// across the pipeline, a caller (CLI flag parsing, the QueryEngine, the
-  /// planner's self-check) gets the complete list in one round trip.
+  /// across the pipeline, a caller (CLI flag parsing, the QueryEngine,
+  /// plan_config's self-check) gets the complete list in one round trip.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// validate() plus the source-compatibility checks: some options only make
@@ -213,7 +212,7 @@ inline constexpr std::size_t kOutOfCoreFitSample = 4096;
 /// holds only dominated rows and is skipped before it is read.
 /// Strict-everywhere keeps the test sound with duplicates and with rows on
 /// the corner itself. Blocks without corners are always kept. The streamed
-/// pipeline and the adaptive planner's block-skip preview both call this.
+/// run_mr_skyline overload calls this with its fit sample's skyline.
 struct BlockPrune {
   std::vector<std::size_t> kept;         ///< surviving block ids, ascending
   std::vector<std::size_t> row_offsets;  ///< prefix row counts, kept.size() + 1
@@ -223,24 +222,6 @@ struct BlockPrune {
 };
 [[nodiscard]] BlockPrune prune_blocks(const data::DatasetSource& source,
                                       const data::PointSet& dominators);
-
-/// Record of a `scheme=auto` planning decision. Attached by run_mr_skyline
-/// when it resolves kAuto through core::AdaptivePlanner; `engaged` stays
-/// false on static-scheme runs. Carries only plain data (the full candidate
-/// table lives on core::AdaptivePlan) so the result stays cheap to copy.
-struct PlanDecision {
-  bool engaged = false;   ///< true when the adaptive planner picked the config
-  bool fallback = false;  ///< planner fell back to the static heuristic
-  part::Scheme scheme = part::Scheme::kAngular;  ///< resolved scheme
-  std::size_t partitions = 0;
-  std::size_t merge_fan_in = 0;
-  bool salted = false;
-  std::size_t candidates = 0;     ///< plans scored (0 on fallback)
-  std::size_t sample_points = 0;  ///< planning sample actually analyzed
-  double predicted_seconds = 0.0; ///< chosen plan's predicted in-process wall
-  double planning_seconds = 0.0;  ///< cost of planning itself
-  std::string rationale;          ///< human-readable decision trail
-};
 
 struct MRSkylineResult {
   data::PointSet skyline;                        ///< the global skyline
@@ -254,10 +235,6 @@ struct MRSkylineResult {
   /// All merge rounds in execution order (size 1 with merge_fan_in = 0,
   /// never empty after a run).
   std::vector<mr::JobMetrics> merge_rounds;
-  /// Planner decision trail (engaged only on scheme=auto runs). When engaged,
-  /// `wall_seconds` includes `plan.planning_seconds` — the planner is part of
-  /// what the caller waited for.
-  PlanDecision plan;
   double wall_seconds = 0.0;                     ///< real in-process time
 
   MRSkylineResult() : skyline(1) {}

@@ -26,9 +26,9 @@
 // the payload bytes, and the componentwise min/max corner of the block's
 // rows — the statistic behind pre-shuffle block pruning (a block whose min
 // corner is strictly dominated in every attribute by a known point contains
-// no skyline member) and the planner's block-level analyze input. The footer
-// has its own checksum in the trailer so a truncated or bit-flipped index is
-// a typed error at open, never a crash or a silent mis-read.
+// no skyline member). The footer has its own checksum in the trailer so a
+// truncated or bit-flipped index is a typed error at open, never a crash or
+// a silent mis-read.
 #pragma once
 
 #include <cstddef>

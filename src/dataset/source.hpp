@@ -1,9 +1,9 @@
 // DatasetSource: the seam between "where the points live" and everything
 // that consumes them (DESIGN.md decision 16).
 //
-// Every downstream layer — run_mr_skyline, the QueryEngine, the adaptive
-// planner, the CLIs and benches — programs against this interface instead of
-// a materialised PointSet. The contract is block-oriented: a source is a
+// Every downstream layer — run_mr_skyline, the QueryEngine, the CLIs and
+// benches — programs against this interface instead of a materialised
+// PointSet. The contract is block-oriented: a source is a
 // sequence of blocks, each readable independently into a caller-owned
 // PointSet, with optional per-block statistics (row count, byte footprint,
 // min/max corners). A resident source additionally exposes its PointSet

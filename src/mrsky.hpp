@@ -35,8 +35,9 @@
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/extensions.hpp"
 
-// The paper's MapReduce pipeline, its planner, and the cluster cost model
-// (cluster.hpp comes in through mr_skyline.hpp: MRSkylineResult::simulate).
+// The paper's MapReduce pipeline, its static configuration advice
+// (core::plan_config), and the cluster cost model (cluster.hpp comes in
+// through mr_skyline.hpp: MRSkylineResult::simulate).
 #include "src/core/mr_skyline.hpp"
 #include "src/core/optimality.hpp"
 #include "src/core/planner.hpp"

@@ -18,7 +18,6 @@ Scheme parse_scheme(const std::string& name) {
   if (name == "angular-radial" || name == "radial") return Scheme::kAngularRadial;
   if (name == "pivot" || name == "voronoi") return Scheme::kPivot;
   if (name == "random" || name == "hash") return Scheme::kRandom;
-  if (name == "auto" || name == "adaptive") return Scheme::kAuto;
   MRSKY_FAIL("unknown partitioning scheme: " + name);
 }
 
@@ -31,7 +30,6 @@ std::string to_string(Scheme scheme) {
     case Scheme::kAngularRadial: return "angular-radial";
     case Scheme::kPivot: return "pivot";
     case Scheme::kRandom: return "random";
-    case Scheme::kAuto: return "auto";
   }
   return "unknown";
 }
@@ -55,10 +53,6 @@ PartitionerPtr make_partitioner(Scheme scheme, const PartitionerOptions& options
       return std::make_unique<PivotPartitioner>(options.num_partitions, options.seed);
     case Scheme::kRandom:
       return std::make_unique<RandomPartitioner>(options.num_partitions, options.seed);
-    case Scheme::kAuto:
-      MRSKY_FAIL(
-          "scheme 'auto' is a planner directive, not a partitioner; resolve it via "
-          "core::AdaptivePlanner (run_mr_skyline does this) before construction");
   }
   MRSKY_FAIL("unreachable scheme");
 }

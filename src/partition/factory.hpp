@@ -16,10 +16,6 @@ enum class Scheme {
   kAngularRadial,     ///< sectors × radius bands (extension)
   kPivot,             ///< nearest-pivot Voronoi cells (extension)
   kRandom,            ///< hash partitioning baseline (extension)
-  /// Not a partitioner: asks the pipeline to run core::AdaptivePlanner and
-  /// resolve the scheme from the data. make_partitioner rejects it — callers
-  /// that reach partitioner construction must already hold a resolved scheme.
-  kAuto,
 };
 
 [[nodiscard]] Scheme parse_scheme(const std::string& name);

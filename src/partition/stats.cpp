@@ -33,13 +33,4 @@ PartitionReport report_from_sizes(const Partitioner& partitioner,
   return report;
 }
 
-std::vector<data::PointSet> split_by_partition(const Partitioner& partitioner,
-                                               const data::PointSet& ps) {
-  std::vector<data::PointSet> parts(partitioner.num_partitions(), data::PointSet(ps.dim()));
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    parts[partitioner.assign(ps.point(i))].push_back(ps.point(i), ps.id(i));
-  }
-  return parts;
-}
-
 }  // namespace mrsky::part

@@ -49,9 +49,4 @@ struct PartitionReport {
 [[nodiscard]] PartitionReport report_from_sizes(const Partitioner& partitioner,
                                                 std::vector<std::size_t> sizes);
 
-/// Splits `ps` into per-partition point sets under a fitted partitioner.
-/// Result has exactly partitioner.num_partitions() entries (possibly empty).
-[[nodiscard]] std::vector<data::PointSet> split_by_partition(const Partitioner& partitioner,
-                                                             const data::PointSet& ps);
-
 }  // namespace mrsky::part

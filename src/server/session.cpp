@@ -112,10 +112,6 @@ std::string Session::dispatch(const Request& request, std::int64_t deadline_ms, 
            ",\"points_inserted\":" + std::to_string(s.points_inserted) +
            ",\"cache_evictions\":" + std::to_string(s.cache_evictions) +
            ",\"queries_cancelled\":" + std::to_string(s.queries_cancelled) +
-           ",\"plans_computed\":" + std::to_string(s.plans_computed) +
-           ",\"plan_reuses\":" + std::to_string(s.plan_reuses) +
-           ",\"plan_predicted_ns\":" + std::to_string(s.plan_predicted_ns) +
-           ",\"plan_actual_ns\":" + std::to_string(s.plan_actual_ns) +
            ",\"dataset_points\":" + std::to_string(snap->dataset->size()) +
            ",\"version\":" + std::to_string(snap->version) + "}";
   }

@@ -79,15 +79,6 @@ struct QueryMetrics {
   std::int64_t wall_ns = 0;           ///< measured wall time of this execute()
   std::uint64_t dataset_version = 0;  ///< version the result was computed against
   std::size_t result_points = 0;      ///< points (or ranking entries) returned
-
-  // scheme=auto only (engine configured with the adaptive planner); all
-  // defaults otherwise. `plan_scheme` is the resolved scheme's name.
-  bool planned = false;       ///< this query ran under an adaptive plan
-  bool plan_reused = false;   ///< plan came from the per-version plan memo
-  std::string plan_scheme;
-  std::size_t plan_partitions = 0;
-  std::int64_t plan_predicted_ns = 0;  ///< chosen plan's predicted pipeline wall
-  std::int64_t plan_planning_ns = 0;   ///< planning cost (0 on memo reuse)
 };
 
 /// One query's payload + metrics. Which fields are populated depends on the

@@ -11,7 +11,6 @@
 
 #include "src/common/error.hpp"
 #include "src/common/timer.hpp"
-#include "src/core/cost_model.hpp"
 #include "src/dataset/transforms.hpp"
 #include "src/partition/factory.hpp"
 #include "src/skyline/algorithms.hpp"
@@ -223,10 +222,6 @@ QueryEngine::Stats QueryEngine::stats() const {
   out.points_inserted = counters_.points_inserted.load(std::memory_order_relaxed);
   out.cache_evictions = counters_.cache_evictions.load(std::memory_order_relaxed);
   out.queries_cancelled = counters_.queries_cancelled.load(std::memory_order_relaxed);
-  out.plans_computed = counters_.plans_computed.load(std::memory_order_relaxed);
-  out.plan_reuses = counters_.plan_reuses.load(std::memory_order_relaxed);
-  out.plan_predicted_ns = counters_.plan_predicted_ns.load(std::memory_order_relaxed);
-  out.plan_actual_ns = counters_.plan_actual_ns.load(std::memory_order_relaxed);
   out.apply_batches = counters_.apply_batches.load(std::memory_order_relaxed);
   out.points_deleted = counters_.points_deleted.load(std::memory_order_relaxed);
   out.points_expired = counters_.points_expired.load(std::memory_order_relaxed);
@@ -245,11 +240,6 @@ std::size_t QueryEngine::cache_entries() const {
 std::size_t QueryEngine::fit_entries() const {
   std::lock_guard<std::mutex> lock(fits_mutex_);
   return fits_.size();
-}
-
-std::size_t QueryEngine::plan_entries() const {
-  std::lock_guard<std::mutex> lock(plans_mutex_);
-  return plans_.size();
 }
 
 std::string QueryEngine::cache_key(const Query& query, std::uint64_t version) {
@@ -291,7 +281,6 @@ void QueryEngine::cache_store(const std::string& key, std::uint64_t version,
 }
 
 QueryEngine::FitPtr QueryEngine::prepared_fit(const data::PointSet& ps,
-                                              const core::MRSkylineConfig& config,
                                               const std::string& fit_key, bool& reused) {
   {
     std::lock_guard<std::mutex> lock(fits_mutex_);
@@ -309,81 +298,26 @@ QueryEngine::FitPtr QueryEngine::prepared_fit(const data::PointSet& ps,
   // Fit outside the lock: fitting is the expensive part, and two sessions
   // racing on the same key deterministically produce identical fits (same
   // data, same seed) — the second emplace loses and adopts the winner.
-  FitPtr shared{core::fit_partitioner(ps, config, span)};
+  FitPtr shared{core::fit_partitioner(ps, options_.config, span)};
   std::lock_guard<std::mutex> lock(fits_mutex_);
   return fits_.try_emplace(fit_key, std::move(shared)).first->second;
 }
 
-core::MRSkylineConfig QueryEngine::resolved_config(const EngineSnapshot& snap,
-                                                   QueryMetrics& metrics) {
-  if (options_.config.scheme != part::Scheme::kAuto) return options_.config;
-  metrics.planned = true;
-  const std::string key = memo_key(snap.version, "/s", options_.config.fit_sample_seed);
-  std::shared_ptr<const core::AdaptivePlan> plan;
-  {
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    if (auto it = plans_.find(key); it != plans_.end()) plan = it->second;
-  }
-  if (plan != nullptr) {
-    metrics.plan_reused = true;
-    counters_.plan_reuses.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Plan outside the lock, same discipline as prepared_fit: planning is
-    // the expensive part, and two racing planners produce identical plans
-    // (same snapshot, same seed) — the losing emplace adopts the winner.
-    counters_.plans_computed.fetch_add(1, std::memory_order_relaxed);
-    common::ScopedSpan span(options_.trace, "adaptive-plan", "service");
-    span.arg("version", snap.version);
-    core::AdaptivePlannerOptions popts;
-    popts.sample_seed = options_.config.fit_sample_seed;
-    auto fresh = std::make_shared<core::AdaptivePlan>(
-        core::AdaptivePlanner(popts).plan(*snap.dataset, options_.config));
-    span.arg("scheme", part::to_string(fresh->config.scheme));
-    span.arg("partitions", fresh->config.effective_partitions());
-    span.arg("candidates", fresh->candidates.size());
-    span.arg("fallback", fresh->fallback ? 1 : 0);
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    plan = plans_.try_emplace(key, std::move(fresh)).first->second;
-    metrics.plan_planning_ns = static_cast<std::int64_t>(plan->planning_seconds * 1e9);
-  }
-  metrics.plan_scheme = part::to_string(plan->config.scheme);
-  metrics.plan_partitions = plan->config.effective_partitions();
-  metrics.plan_predicted_ns =
-      plan->fallback ? 0 : static_cast<std::int64_t>(plan->chosen.total_seconds() * 1e9);
-  return plan->config;
-}
-
 data::PointSet QueryEngine::pipeline_skyline(const data::PointSet& ps,
-                                             const core::MRSkylineConfig& base,
                                              const std::string& fit_key, QueryResult& result,
                                              const common::CancellationToken& cancel) {
   // Pin the fit for the whole run: a concurrent insert_batch may clear the
   // memo, but this shared_ptr keeps the partitioner alive until the pipeline
   // is done with it (the old `const Partitioner&` into the map dangled here).
-  const FitPtr fit = prepared_fit(ps, base, fit_key, result.metrics.fit_reused);
-  core::MRSkylineConfig config = base;
+  const FitPtr fit = prepared_fit(ps, fit_key, result.metrics.fit_reused);
+  core::MRSkylineConfig config = options_.config;
   config.prepared_partitioner = fit.get();
   config.run_options.cancel = cancel;
   counters_.pipeline_runs.fetch_add(1, std::memory_order_relaxed);
   const core::MRSkylineResult run = core::run_mr_skyline(ps, config);
-  std::uint64_t work = run.partition_job.total_work_units();
-  std::uint64_t shuffled = run.partition_job.shuffle_records;
   result.metrics.dominance_tests += run.partition_job.total_work_units();
   for (const auto& round : run.merge_rounds) {
     result.metrics.dominance_tests += round.total_work_units();
-    work += round.total_work_units();
-    shuffled += round.shuffle_records;
-  }
-  if (result.metrics.planned) {
-    // Predicted-vs-actual bookkeeping plus cost-model refinement: a resident
-    // engine converges its dominance-test rate onto what this process really
-    // sustains under serving load.
-    counters_.plan_predicted_ns.fetch_add(
-        static_cast<std::uint64_t>(std::max<std::int64_t>(0, result.metrics.plan_predicted_ns)),
-        std::memory_order_relaxed);
-    counters_.plan_actual_ns.fetch_add(static_cast<std::uint64_t>(run.wall_seconds * 1e9),
-                                       std::memory_order_relaxed);
-    core::CostModel::process().observe_run(work, shuffled, run.wall_seconds);
   }
   return canonical_by_id(run.skyline);
 }
@@ -415,9 +349,8 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
               result.points = *snap.full_skyline;
               return;
             }
-            const core::MRSkylineConfig cfg = resolved_config(snap, result.metrics);
-            result.points = pipeline_skyline(dataset, cfg, fit_memo_key(snap.version, cfg, "full"),
-                                             result, cancel);
+            result.points = pipeline_skyline(
+                dataset, fit_memo_key(snap.version, options_.config, "full"), result, cancel);
             // A query that was cancelled between task-loop polls may still
             // hold a complete skyline; it must NOT ride the snapshot — the
             // caller sees the typed abort, so nothing it produced may be
@@ -436,18 +369,13 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
                              : data::project(dataset, q.attributes);
             span.arg("subspace_from", from_skyline ? "skyline" : "dataset");
             span.arg("candidates", input.size());
-            // Subspace pipelines reuse the full-dataset plan's shape: the
-            // projection is derived data at the same version, and planning
-            // per attribute subset would multiply planner work for marginal
-            // gain (the fit is still per input via the key suffix).
-            const core::MRSkylineConfig cfg = resolved_config(snap, result.metrics);
             std::string subspace = from_skyline ? "skyline-sub:" : "sub:";
             for (std::size_t i = 0; i < q.attributes.size(); ++i) {
               if (i > 0) subspace += ',';
               subspace += std::to_string(q.attributes[i]);
             }
-            result.points = pipeline_skyline(input, cfg, fit_memo_key(snap.version, cfg, subspace),
-                                             result, cancel);
+            result.points = pipeline_skyline(
+                input, fit_memo_key(snap.version, options_.config, subspace), result, cancel);
           },
           [&](const KSkybandQuery& q) {
             cancel.throw_if_stopped("k-skyband scan");
@@ -575,17 +503,11 @@ std::uint64_t QueryEngine::insert_batch(const data::PointSet& points) {
 
 void QueryEngine::purge_derived_state(const EngineSnapshotPtr& published) {
   // Partition fits were learned on the old data; drop the memo so the next
-  // pipeline run re-plans (MR-Grid's pruning in particular must never act on
+  // pipeline run re-fits (MR-Grid's pruning in particular must never act on
   // stale cell occupancy). In-flight runs pinned their fit via shared_ptr.
   {
     std::lock_guard<std::mutex> lock(fits_mutex_);
     fits_.clear();
-  }
-  // The adaptive plan was scored against the old data's sample; a new
-  // version replans on first use (in-flight queries keep theirs pinned).
-  {
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    plans_.clear();
   }
   // Version-keyed entries can no longer hit; purge them eagerly — counted as
   // evictions — so cache occupancy reflects live entries only.

@@ -15,9 +15,6 @@
 //    the data; each fit reads at most 4,096 sampled rows
 //    (core::kOutOfCoreFitSample, set in the default options), so no read
 //    fits on the whole registry;
-//  * under scheme=auto, the adaptive plan (core::AdaptivePlanner) is memoised
-//    per dataset version the same way — planned once, reused by every query
-//    at that version, invalidated by insert_batch;
 //  * every pipeline run filters with a sample skyline's representatives
 //    before the shuffle (MRSkylineConfig::representative_filter, on in the
 //    default options), so a subspace read after a write ships only the rows
@@ -79,7 +76,6 @@
 #include "src/common/sync.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/trace.hpp"
-#include "src/core/adaptive_planner.hpp"
 #include "src/core/mr_skyline.hpp"
 #include "src/dataset/point_set.hpp"
 #include "src/partition/partitioner.hpp"
@@ -261,11 +257,6 @@ class QueryEngine {
     std::uint64_t points_inserted = 0;
     std::uint64_t cache_evictions = 0;  ///< LRU capacity + insert-purge evictions
     std::uint64_t queries_cancelled = 0;  ///< typed QueryCancelled aborts (deadline or cancel)
-    // scheme=auto only: adaptive-planner activity and its prediction quality.
-    std::uint64_t plans_computed = 0;   ///< adaptive plans built (one per version)
-    std::uint64_t plan_reuses = 0;      ///< queries served from the plan memo
-    std::uint64_t plan_predicted_ns = 0;  ///< summed predicted pipeline wall (planned runs)
-    std::uint64_t plan_actual_ns = 0;     ///< summed measured pipeline wall (planned runs)
     // Write (apply_batch) activity; a plain insert_batch is one apply_batch.
     std::uint64_t apply_batches = 0;
     std::uint64_t points_deleted = 0;   ///< explicit deletes that hit a live point
@@ -281,8 +272,6 @@ class QueryEngine {
   /// Current cache / fit-memo occupancy (for tests). Thread-safe.
   [[nodiscard]] std::size_t cache_entries() const;
   [[nodiscard]] std::size_t fit_entries() const;
-  /// Plan-memo occupancy (scheme=auto; 0 otherwise). Thread-safe.
-  [[nodiscard]] std::size_t plan_entries() const;
 
  private:
   /// What the result cache retains: the answer's data, never its
@@ -305,32 +294,18 @@ class QueryEngine {
   [[nodiscard]] static std::string cache_key(const Query& query, std::uint64_t version);
 
   /// Looks up / fits-and-memoises the partitioner for `ps` under `fit_key`;
-  /// on a miss, core::fit_partitioner fits it from `config` (the resolved
-  /// pipeline config — never scheme=auto), on config.fit_sample_size sampled
-  /// rows when `ps` has more. The returned shared_ptr pins the fit: a
-  /// concurrent insert_batch may retire the memo entry, but the fit object
-  /// stays alive for this run.
-  FitPtr prepared_fit(const data::PointSet& ps, const core::MRSkylineConfig& config,
-                      const std::string& fit_key, bool& reused);
+  /// on a miss, core::fit_partitioner fits it from options_.config, on its
+  /// fit_sample_size sampled rows when `ps` has more. The returned
+  /// shared_ptr pins the fit: a concurrent insert_batch may retire the memo
+  /// entry, but the fit object stays alive for this run.
+  FitPtr prepared_fit(const data::PointSet& ps, const std::string& fit_key, bool& reused);
 
-  /// The pipeline config queries at `snap` should run with: options_.config
-  /// as-is for static schemes; under scheme=auto, the memoised adaptive plan
-  /// for `snap`'s version (planned on first use, reused after — the plan
-  /// fields of `metrics` record which). Thread-safe like prepared_fit: the
-  /// planner runs outside the memo lock, racing planners produce identical
-  /// plans (same data, same seed) and the loser adopts the winner.
-  [[nodiscard]] core::MRSkylineConfig resolved_config(const EngineSnapshot& snap,
-                                                      QueryMetrics& metrics);
-
-  /// Runs the MapReduce pipeline over `ps` with `config` plus a prepared fit;
-  /// returns the canonical (id-sorted) skyline and charges work into
-  /// `result`. `cancel` rides into the run's RunOptions, so task loops poll
-  /// it. Planned runs (result.metrics.planned) also feed the process cost
-  /// model and the predicted-vs-actual counters.
-  data::PointSet pipeline_skyline(const data::PointSet& ps,
-                                  const core::MRSkylineConfig& config,
-                                  const std::string& fit_key, QueryResult& result,
-                                  const common::CancellationToken& cancel);
+  /// Runs the MapReduce pipeline over `ps` with options_.config plus a
+  /// prepared fit; returns the canonical (id-sorted) skyline and charges
+  /// work into `result`. `cancel` rides into the run's RunOptions, so task
+  /// loops poll it.
+  data::PointSet pipeline_skyline(const data::PointSet& ps, const std::string& fit_key,
+                                  QueryResult& result, const common::CancellationToken& cancel);
 
   /// Computes a fresh payload for `query` against the pinned snapshot.
   /// `span` is the query's span: a top-k read records which rows it ranked
@@ -350,8 +325,8 @@ class QueryEngine {
 
   void set_snapshot(EngineSnapshotPtr snap);
 
-  /// Drops version-derived state after a write (fit memo, plan memo, result
-  /// cache — evictions counted) and re-seeds the full-skyline cache entry for
+  /// Drops version-derived state after a write (fit memo, result cache —
+  /// evictions counted) and re-seeds the full-skyline cache entry for
   /// `published`, which carries one.
   void purge_derived_state(const EngineSnapshotPtr& published);
 
@@ -403,12 +378,6 @@ class QueryEngine {
   mutable std::mutex fits_mutex_;
   std::map<std::string, FitPtr> fits_;
 
-  /// Adaptive-plan memo (scheme=auto): one entry per dataset version, keyed
-  /// "v{version}/s{sample seed}". Dropped on insert like the fit memo;
-  /// in-flight queries keep their plan alive through the shared_ptr.
-  mutable std::mutex plans_mutex_;
-  std::map<std::string, std::shared_ptr<const core::AdaptivePlan>> plans_;
-
   /// Result cache. Its own small mutex makes the LRU recency touch on the
   /// hit path safe without taking any engine-wide lock.
   mutable std::mutex cache_mutex_;
@@ -426,10 +395,6 @@ class QueryEngine {
     std::atomic<std::uint64_t> points_inserted{0};
     std::atomic<std::uint64_t> cache_evictions{0};
     std::atomic<std::uint64_t> queries_cancelled{0};
-    std::atomic<std::uint64_t> plans_computed{0};
-    std::atomic<std::uint64_t> plan_reuses{0};
-    std::atomic<std::uint64_t> plan_predicted_ns{0};
-    std::atomic<std::uint64_t> plan_actual_ns{0};
     std::atomic<std::uint64_t> apply_batches{0};
     std::atomic<std::uint64_t> points_deleted{0};
     std::atomic<std::uint64_t> points_expired{0};

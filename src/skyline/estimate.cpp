@@ -1,6 +1,5 @@
 #include "src/skyline/estimate.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -23,17 +22,6 @@ double expected_skyline_size(std::size_t n, std::size_t dim) {
     }
   }
   return v[n];
-}
-
-double approx_skyline_size(std::size_t n, std::size_t dim) {
-  MRSKY_REQUIRE(dim >= 1, "dimension must be >= 1");
-  if (n == 0) return 0.0;
-  double result = 1.0;
-  const double log_n = std::log(static_cast<double>(n));
-  for (std::size_t k = 1; k < dim; ++k) {
-    result *= log_n / static_cast<double>(k);
-  }
-  return result;
 }
 
 }  // namespace mrsky::skyline

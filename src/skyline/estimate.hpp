@@ -7,8 +7,8 @@
 //                                                    exact via recurrence)
 //
 // The paper's complexity worry (§I: "exponential growth of the skyline
-// complexity") is exactly this quantity's growth in d. The planner uses it
-// to predict merge-stage input sizes; the distribution ablation shows how
+// complexity") is exactly this quantity's growth in d. core::plan_config
+// uses it to predict merge-stage input sizes; the distribution ablation shows how
 // far real workloads (correlated / anticorrelated) sit from the independence
 // assumption.
 //
@@ -16,10 +16,7 @@
 // numbers: correlated attributes shrink the skyline (often dramatically)
 // while anticorrelated ones inflate it, but in the regimes this codebase
 // targets — service-selection data where QoS attributes trade off mildly —
-// H(n, d) behaves as a loose upper-ish bound. The adaptive planner therefore
-// uses the *ratio* H(full)/H(sample) to grow measured sample skylines
-// (core/cost_model.hpp: skyline_growth_factor), never the absolute value;
-// the ratio is far less sensitive to the assumption than the level is.
+// H(n, d) behaves as a loose upper-ish bound.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +34,5 @@ namespace mrsky::skyline {
 /// probability H(n, d-1)/n under independence. O(n·d) time, O(n) space
 /// (one level of the recurrence kept in place). Requires d >= 1.
 [[nodiscard]] double expected_skyline_size(std::size_t n, std::size_t dim);
-
-/// Closed-form approximation (ln n)^(d-1) / (d-1)! — cheap, asymptotic.
-[[nodiscard]] double approx_skyline_size(std::size_t n, std::size_t dim);
 
 }  // namespace mrsky::skyline

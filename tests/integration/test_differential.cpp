@@ -1,6 +1,6 @@
 // Randomised differential testing: every skyline implementation in the
-// library — four scan algorithms, the bounded-window BNL, the two index
-// traversals, and the MapReduce pipeline under every partitioning scheme —
+// library — four scan algorithms, the bounded-window BNL, the BBS index
+// traversal, and the MapReduce pipeline under every partitioning scheme —
 // must agree on randomly drawn workloads (size, dimension, distribution and
 // duplicate injection all derived from the seed).
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "src/skyline/bnl_bounded.hpp"
 #include "src/skyline/verify.hpp"
 #include "src/spatial/bbs.hpp"
-#include "src/spatial/nn_skyline.hpp"
 
 namespace mrsky {
 namespace {
@@ -57,12 +56,6 @@ TEST_P(Differential, AllImplementationsAgree) {
   expect_same(skyline::bnl_skyline_bounded(w.points, 3), "bnl-bounded-w3");
   expect_same(skyline::bnl_skyline_bounded(w.points, 64), "bnl-bounded-w64");
   expect_same(spatial::bbs_skyline(w.points), "bbs");
-  // NN skyline's to-do list grows exponentially with dimension on large
-  // skylines (its known weakness — see nn_skyline.hpp); differential-test it
-  // only where it is tractable.
-  if (w.points.dim() <= 4) {
-    expect_same(spatial::nn_skyline(w.points), "nn");
-  }
 }
 
 TEST_P(Differential, PipelineAgreesUnderEveryScheme) {

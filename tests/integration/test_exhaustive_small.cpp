@@ -1,6 +1,6 @@
 // Exhaustive small-case testing: enumerate EVERY 2-D dataset with up to four
 // points and coordinates in {0, 1, 2}, and check that all four scan
-// algorithms, the bounded BNL and both index traversals agree with a
+// algorithms, the bounded BNL and the BBS index traversal agree with a
 // first-principles dominance check. Randomised suites sample the space;
 // this one covers a small corner of it completely — ties, duplicates and
 // degenerate layouts included, which is where skyline bugs live.
@@ -14,7 +14,6 @@
 #include "src/skyline/bnl_bounded.hpp"
 #include "src/skyline/verify.hpp"
 #include "src/spatial/bbs.hpp"
-#include "src/spatial/nn_skyline.hpp"
 
 namespace mrsky {
 namespace {
@@ -64,7 +63,6 @@ TEST_P(ExhaustiveSmall, AllAlgorithmsMatchReference) {
     check(skyline::bnl_skyline_bounded(ps, 1), "bnl-bounded-w1");
     check(skyline::bnl_skyline_bounded(ps, 2), "bnl-bounded-w2");
     check(spatial::bbs_skyline(ps), "bbs");
-    check(spatial::nn_skyline(ps), "nn");
   }
 }
 

@@ -96,45 +96,6 @@ TEST(PartitionStats, AllPointsInOnePartitionShowsImbalance) {
   EXPECT_GT(report.balance_cv, 1.0);
 }
 
-TEST(SplitByPartition, EmptyDatasetGivesAllEmptyParts) {
-  const PointSet fit_on = data::generate(data::Distribution::kIndependent, 200, 2, 29);
-  GridPartitioner p(8);
-  p.fit(fit_on);
-  const auto parts = split_by_partition(p, PointSet(fit_on.dim()));
-  ASSERT_EQ(parts.size(), 8u);
-  for (const auto& part : parts) EXPECT_TRUE(part.empty());
-}
-
-TEST(SplitByPartition, PartitionsAreDisjointAndComplete) {
-  const PointSet ps = data::generate(data::Distribution::kClustered, 600, 3, 11);
-  GridPartitioner p(8);
-  p.fit(ps);
-  const auto parts = split_by_partition(p, ps);
-  ASSERT_EQ(parts.size(), 8u);
-  std::size_t total = 0;
-  std::vector<bool> seen(ps.size(), false);
-  for (const auto& part : parts) {
-    total += part.size();
-    for (data::PointId id : part.ids()) {
-      EXPECT_FALSE(seen[id]) << "point " << id << " appears in two partitions";
-      seen[id] = true;
-    }
-  }
-  EXPECT_EQ(total, ps.size());
-}
-
-TEST(SplitByPartition, RespectsAssignment) {
-  const PointSet ps = data::generate(data::Distribution::kIndependent, 300, 2, 13);
-  DimensionalPartitioner p(4);
-  p.fit(ps);
-  const auto parts = split_by_partition(p, ps);
-  for (std::size_t c = 0; c < parts.size(); ++c) {
-    for (std::size_t i = 0; i < parts[c].size(); ++i) {
-      EXPECT_EQ(p.assign(parts[c].point(i)), c);
-    }
-  }
-}
-
 TEST(Factory, CreatesEveryScheme) {
   const PointSet ps = data::generate(data::Distribution::kIndependent, 100, 3, 17);
   for (Scheme s : {Scheme::kDimensional, Scheme::kGrid, Scheme::kAngular,
@@ -165,6 +126,8 @@ TEST(Factory, ParseAliases) {
 
 TEST(Factory, ParseRejectsUnknown) {
   EXPECT_THROW((void)parse_scheme("kd-tree"), mrsky::RuntimeError);
+  EXPECT_THROW((void)parse_scheme("auto"), mrsky::RuntimeError);
+  EXPECT_THROW((void)parse_scheme("adaptive"), mrsky::RuntimeError);
 }
 
 TEST(Factory, SplitDimPassedThrough) {

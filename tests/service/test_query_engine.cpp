@@ -361,53 +361,6 @@ TEST(QueryEngine, FirstWriteOnDuplicateIdsThrowsAndChangesNothing) {
             skyline::bnl_skyline(dup).size());
 }
 
-TEST(QueryEngine, AutoSchemeAnswersMatchStaticEngineBitwise) {
-  const auto ps = workload(1500, 4, 97);
-  service::QueryEngineOptions auto_options;
-  auto_options.config.scheme = part::Scheme::kAuto;
-  service::QueryEngine auto_engine(ps, auto_options);
-  service::QueryEngine static_engine(ps, {});
-
-  const auto planned = auto_engine.execute(service::SkylineQuery{});
-  const auto direct = static_engine.execute(service::SkylineQuery{});
-  EXPECT_TRUE(planned.metrics.planned);
-  EXPECT_FALSE(planned.metrics.plan_reused);
-  EXPECT_FALSE(planned.metrics.plan_scheme.empty());
-  EXPECT_NE(planned.metrics.plan_scheme, "auto");
-  EXPECT_GT(planned.metrics.plan_partitions, 0u);
-  EXPECT_EQ(bits_of(planned.points), bits_of(direct.points));
-}
-
-TEST(QueryEngine, PlanMemoReusedWithinVersionInvalidatedByInsert) {
-  service::QueryEngineOptions options;
-  options.config.scheme = part::Scheme::kAuto;
-  service::QueryEngine engine(workload(1500, 4, 97), options);
-  EXPECT_EQ(engine.plan_entries(), 0u);
-
-  // First pipeline run plans; a second pipeline run at the same version
-  // (subspace — distinct cache key) reuses the memoised plan.
-  (void)engine.execute(service::SkylineQuery{});
-  EXPECT_EQ(engine.plan_entries(), 1u);
-  EXPECT_EQ(engine.stats().plans_computed, 1u);
-  const auto sub = engine.execute(service::SubspaceQuery{{0, 1, 2}});
-  EXPECT_TRUE(sub.metrics.planned);
-  EXPECT_TRUE(sub.metrics.plan_reused);
-  EXPECT_EQ(sub.metrics.plan_planning_ns, 0);
-  EXPECT_EQ(engine.plan_entries(), 1u);
-  EXPECT_EQ(engine.stats().plans_computed, 1u);
-  EXPECT_GE(engine.stats().plan_reuses, 1u);
-
-  // Insert publishes a new version: the memo is dropped, and the next
-  // pipeline run re-plans against the grown dataset.
-  engine.insert_batch(workload(200, 4, 101));
-  EXPECT_EQ(engine.plan_entries(), 0u);
-  const auto replanned = engine.execute(service::SubspaceQuery{{1, 2, 3}});
-  EXPECT_TRUE(replanned.metrics.planned);
-  EXPECT_FALSE(replanned.metrics.plan_reused);
-  EXPECT_EQ(engine.stats().plans_computed, 2u);
-  EXPECT_EQ(engine.plan_entries(), 1u);
-}
-
 /// The `topk_from` arg of every top-k `query` span, in order ("" if absent).
 std::vector<std::string> topk_sources(const common::TraceRecorder& trace) {
   std::vector<std::string> sources;
@@ -576,15 +529,6 @@ TEST(QueryEngine, SubspaceFromTheSkylineKeepsATiedRowSharingAnId) {
   const auto from_skyline = engine.execute(service::SubspaceQuery{attrs});
   EXPECT_EQ(from_dataset.points.size(), 3u);
   EXPECT_EQ(bits_of(from_skyline.points), bits_of(from_dataset.points));
-}
-
-TEST(QueryEngine, StaticSchemeNeverTouchesPlanMemo) {
-  service::QueryEngine engine(workload(600, 4, 13), {});
-  (void)engine.execute(service::SkylineQuery{});
-  (void)engine.execute(service::SubspaceQuery{{0, 1}});
-  EXPECT_EQ(engine.plan_entries(), 0u);
-  EXPECT_EQ(engine.stats().plans_computed, 0u);
-  EXPECT_EQ(engine.stats().plan_reuses, 0u);
 }
 
 }  // namespace

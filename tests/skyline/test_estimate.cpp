@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/dataset/generators.hpp"
@@ -68,27 +66,8 @@ TEST(ExpectedSkylineSize, MatchesMeasurementOnIndependentData) {
   EXPECT_NEAR(measured, expected, 0.25 * expected);
 }
 
-TEST(ApproxSkylineSize, TracksExactAtLargeN) {
-  // The closed form is asymptotic: within a factor ~2.5 at n = 10^5 for
-  // moderate d (it drops lower-order terms).
-  for (std::size_t d : {2u, 4u, 6u}) {
-    const double exact = expected_skyline_size(100000, d);
-    const double approx = approx_skyline_size(100000, d);
-    EXPECT_GT(approx, exact * 0.3) << "d=" << d;
-    EXPECT_LT(approx, exact * 2.5) << "d=" << d;
-  }
-}
-
-TEST(ApproxSkylineSize, FormulaShape) {
-  // d=1 -> 1; d=2 -> ln n; d=3 -> (ln n)^2/2.
-  EXPECT_DOUBLE_EQ(approx_skyline_size(1000, 1), 1.0);
-  EXPECT_NEAR(approx_skyline_size(1000, 2), std::log(1000.0), 1e-12);
-  EXPECT_NEAR(approx_skyline_size(1000, 3), std::pow(std::log(1000.0), 2) / 2.0, 1e-9);
-}
-
 TEST(Estimate, RejectsZeroDimension) {
   EXPECT_THROW((void)expected_skyline_size(10, 0), mrsky::InvalidArgument);
-  EXPECT_THROW((void)approx_skyline_size(10, 0), mrsky::InvalidArgument);
 }
 
 }  // namespace

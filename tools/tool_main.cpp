@@ -8,9 +8,8 @@
 //               a .mrb input streams block by block (out-of-core)
 //   report    — partition diagnostics for a dataset under a scheme
 //   simulate  — simulated cluster times across server counts
-//   plan      — recommend a pipeline configuration: static heuristic from
-//               (N, d, servers), or the adaptive sample-analyze-optimize
-//               planner's full candidate table when --input is given
+//   plan      — recommend a pipeline configuration for (N, d, servers);
+//               --input reads N and d from a dataset file
 //   query     — serve a query script against a resident QueryEngine
 //   serve     — run the concurrent multi-session skyline server (TCP)
 //
@@ -40,7 +39,6 @@
 #include "src/common/error.hpp"
 #include "src/common/json.hpp"
 #include "src/common/table.hpp"
-#include "src/core/adaptive_planner.hpp"
 #include "src/core/mr_skyline.hpp"
 #include "src/core/optimality.hpp"
 #include "src/core/planner.hpp"
@@ -116,11 +114,12 @@ data::PointSet load_input(const common::CliArgs& args) {
   return ps;
 }
 
-/// The streaming counterpart of load_input, for subcommands that run the
-/// pipeline (`skyline`, `plan`): a .mrb input becomes a BlockStoreSource and
-/// is never materialised — map tasks read blocks and block pruning skips
-/// dominated ones; anything else is loaded resident (with the usual
-/// --lenient / --normalize handling) behind a PointSetSource.
+/// The streaming counterpart of load_input, for `skyline`, which runs the
+/// pipeline, and `plan`, which reads N and d: a .mrb input becomes a
+/// BlockStoreSource and is never materialised — map tasks read blocks and
+/// block pruning skips dominated ones; anything else is loaded resident
+/// (with the usual --lenient / --normalize handling) behind a
+/// PointSetSource.
 std::unique_ptr<data::DatasetSource> load_source(const common::CliArgs& args) {
   const std::string path = args.get_string("input", "");
   MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrsk|file.mrb> is required");
@@ -353,14 +352,6 @@ int cmd_skyline(const common::CliArgs& args) {
               << result.partition_job.blocks_pruned << " blocks ("
               << result.partition_job.bytes_pruned << " bytes) pruned before read\n";
   }
-  if (result.plan.engaged) {
-    std::cout << "planner: resolved auto -> " << part::to_string(result.plan.scheme) << " Np="
-              << result.plan.partitions << " fan=" << result.plan.merge_fan_in << " salt="
-              << (result.plan.salted ? "on" : "off") << (result.plan.fallback ? " (fallback)" : "")
-              << ", " << result.plan.candidates << " candidates over " << result.plan.sample_points
-              << " sample points in " << result.plan.planning_seconds * 1e3 << " ms\n";
-    if (args.get_bool("verbose", false)) std::cout << result.plan.rationale << "\n";
-  }
   const auto opt = core::local_skyline_optimality(result.local_skylines, result.skyline);
   std::cout << "local skyline optimality (Eq.5): " << opt.mean_optimality << "\n";
   if (args.get_bool("verbose", false)) std::cout << result.summary();
@@ -372,19 +363,7 @@ int cmd_skyline(const common::CliArgs& args) {
   if (const std::string json = args.get_string("metrics-json", ""); !json.empty()) {
     std::ofstream file(json);
     MRSKY_REQUIRE(static_cast<bool>(file), "cannot open " + json);
-    file << "{";
-    if (result.plan.engaged) {
-      file << "\"plan\":{\"scheme\":\"" << part::to_string(result.plan.scheme)
-           << "\",\"partitions\":" << result.plan.partitions
-           << ",\"merge_fan_in\":" << result.plan.merge_fan_in
-           << ",\"salted\":" << (result.plan.salted ? "true" : "false")
-           << ",\"fallback\":" << (result.plan.fallback ? "true" : "false")
-           << ",\"candidates\":" << result.plan.candidates
-           << ",\"sample_points\":" << result.plan.sample_points
-           << ",\"predicted_seconds\":" << result.plan.predicted_seconds
-           << ",\"planning_seconds\":" << result.plan.planning_seconds << "},";
-    }
-    file << "\"partition_job\":" << mr::to_json(result.partition_job) << ",\"merge_rounds\":[";
+    file << "{\"partition_job\":" << mr::to_json(result.partition_job) << ",\"merge_rounds\":[";
     for (std::size_t i = 0; i < result.merge_rounds.size(); ++i) {
       if (i > 0) file << ",";
       file << mr::to_json(result.merge_rounds[i]);
@@ -430,43 +409,17 @@ int cmd_report(const common::CliArgs& args) {
 }
 
 int cmd_plan(const common::CliArgs& args) {
-  // Two modes. With --input: the adaptive planner samples the actual data
-  // and prints the full candidate table — planning only, no pipeline run.
-  // Without: the static (N, d, servers) heuristic, as before.
+  // N and d come from --input when it is given (a .mrb's header, without
+  // reading its blocks), from --n and --dim otherwise.
+  core::PlannerInputs in;
   if (!args.get_string("input", "").empty()) {
     const auto source = load_source(args);
-    core::MRSkylineConfig base;
-    base.servers = static_cast<std::size_t>(args.get_int("servers", 8));
-    base.salt_target_factor = args.get_double("salt-target-factor", base.salt_target_factor);
-    core::AdaptivePlannerOptions popts;
-    popts.sample_size = static_cast<std::size_t>(args.get_int("sample-size", 2048));
-    popts.sample_seed = static_cast<std::uint64_t>(args.get_int("sample-seed", 0x5a3e));
-    const core::AdaptivePlan plan = core::AdaptivePlanner(popts).plan(*source, base);
-
-    common::Table table({"scheme", "Np", "fan", "salt", "pred_ms", "balance_cv", "prunable_%",
-                         "merge_in"});
-    for (const auto& c : plan.candidates) {
-      table.add_row({part::to_string(c.scheme), common::Table::fmt(c.partitions),
-                     common::Table::fmt(c.merge_fan_in), c.salted ? "on" : "",
-                     common::Table::fmt(c.total_seconds() * 1e3, 3),
-                     common::Table::fmt(c.balance_cv, 3),
-                     common::Table::fmt(c.prunable_fraction * 100.0, 1),
-                     common::Table::fmt(c.predicted_merge_input, 0)});
-    }
-    table.print(std::cout, "adaptive plan candidates (" + std::to_string(source->size()) +
-                               " points, " + std::to_string(plan.sample_points) + " sampled)");
-    std::cout << "\nchosen: --scheme " << part::to_string(plan.config.scheme) << " --partitions "
-              << plan.config.effective_partitions() << " --servers " << plan.config.servers;
-    if (plan.config.merge_fan_in > 0) std::cout << " --merge-fan-in " << plan.config.merge_fan_in;
-    if (plan.config.salt_oversized_partitions) std::cout << " --salt true";
-    std::cout << "\nplanning took " << plan.planning_seconds * 1e3 << " ms\n\nrationale:\n"
-              << plan.rationale << "\n";
-    return 0;
+    in.cardinality = source->size();
+    in.dim = source->dim();
+  } else {
+    in.cardinality = static_cast<std::size_t>(args.get_int("n", 100000));
+    in.dim = static_cast<std::size_t>(args.get_int("dim", 10));
   }
-
-  core::PlannerInputs in;
-  in.cardinality = static_cast<std::size_t>(args.get_int("n", 100000));
-  in.dim = static_cast<std::size_t>(args.get_int("dim", 10));
   in.servers = static_cast<std::size_t>(args.get_int("servers", 8));
   in.clustered = args.get_bool("clustered", false);
   const auto planned = core::plan_config(in);
@@ -477,6 +430,7 @@ int cmd_plan(const common::CliArgs& args) {
   if (planned.config.merge_fan_in > 0) {
     std::cout << " --merge-fan-in " << planned.config.merge_fan_in;
   }
+  if (planned.config.salt_oversized_partitions) std::cout << " --salt true";
   std::cout << "\n\nrationale:\n" << planned.rationale;
   return 0;
 }
@@ -583,15 +537,7 @@ int cmd_query(const common::CliArgs& args) {
                     ",\"fit_reused\":" + (m.fit_reused ? "true" : "false") +
                     ",\"dominance_tests\":" + std::to_string(m.dominance_tests) +
                     ",\"wall_ns\":" + std::to_string(m.wall_ns) +
-                    ",\"version\":" + std::to_string(m.dataset_version);
-    if (m.planned) {
-      queries_json += ",\"plan\":{\"scheme\":\"" + m.plan_scheme +
-                      "\",\"partitions\":" + std::to_string(m.plan_partitions) +
-                      ",\"reused\":" + (m.plan_reused ? "true" : "false") +
-                      ",\"predicted_ns\":" + std::to_string(m.plan_predicted_ns) +
-                      ",\"planning_ns\":" + std::to_string(m.plan_planning_ns) + "}";
-    }
-    queries_json += "}";
+                    ",\"version\":" + std::to_string(m.dataset_version) + "}";
   }
   table.print(std::cout, "query session: " + script_path);
 
@@ -600,12 +546,6 @@ int cmd_query(const common::CliArgs& args) {
             << "  pipeline runs: " << stats.pipeline_runs
             << "  fits computed/reused: " << stats.fits_computed << "/" << stats.fit_reuses
             << "  inserts: " << stats.inserts << "\n";
-  if (stats.plans_computed > 0 || stats.plan_reuses > 0) {
-    std::cout << "planner: " << stats.plans_computed << " plans computed, "
-              << stats.plan_reuses << " reused, predicted "
-              << static_cast<double>(stats.plan_predicted_ns) / 1e6 << " ms vs actual "
-              << static_cast<double>(stats.plan_actual_ns) / 1e6 << " ms pipeline wall\n";
-  }
 
   if (const std::string json = args.get_string("metrics-json", ""); !json.empty()) {
     std::ofstream file(json);
@@ -616,10 +556,6 @@ int cmd_query(const common::CliArgs& args) {
          << ",\"incremental_serves\":" << stats.incremental_serves
          << ",\"inserts\":" << stats.inserts << ",\"points_inserted\":" << stats.points_inserted
          << ",\"cache_evictions\":" << stats.cache_evictions
-         << ",\"plans_computed\":" << stats.plans_computed
-         << ",\"plan_reuses\":" << stats.plan_reuses
-         << ",\"plan_predicted_ns\":" << stats.plan_predicted_ns
-         << ",\"plan_actual_ns\":" << stats.plan_actual_ns
          << ",\"dataset_version\":" << engine.version() << "}}\n";
     std::cout << "metrics written to " << json << "\n";
   }
@@ -696,12 +632,6 @@ int cmd_serve(const common::CliArgs& args) {
             << " cache hits, " << stats.queries_cancelled << " cancelled, "
             << stats.inserts << " inserts (" << stats.points_inserted
             << " points), final version " << engine.version() << "\n";
-  if (stats.plans_computed > 0 || stats.plan_reuses > 0) {
-    std::cout << "planner: " << stats.plans_computed << " plans computed, "
-              << stats.plan_reuses << " reused, predicted "
-              << static_cast<double>(stats.plan_predicted_ns) / 1e6 << " ms vs actual "
-              << static_cast<double>(stats.plan_actual_ns) / 1e6 << " ms pipeline wall\n";
-  }
 
   if (const std::string json = args.get_string("metrics-json", ""); !json.empty()) {
     std::ofstream file(json);
@@ -721,10 +651,6 @@ int cmd_serve(const common::CliArgs& args) {
          << ",\"queries_cancelled\":" << stats.queries_cancelled
          << ",\"inserts\":" << stats.inserts
          << ",\"points_inserted\":" << stats.points_inserted
-         << ",\"plans_computed\":" << stats.plans_computed
-         << ",\"plan_reuses\":" << stats.plan_reuses
-         << ",\"plan_predicted_ns\":" << stats.plan_predicted_ns
-         << ",\"plan_actual_ns\":" << stats.plan_actual_ns
          << ",\"dataset_version\":" << engine.version()
          << "},\"sessions\":[" << sessions_json << "]}\n";
     std::cout << "metrics written to " << json << "\n";
