@@ -78,6 +78,12 @@ FILTER+=':ShuffleSpill*:RoutedRecords*:StreamedReads*:PipelineSpill*:*PartitionR
 # against the atan2 oracle, plus the partitioner contracts around it.
 FILTER+=':AngularPartitioner*:AngularRadialPartitioner*:*PartitionerContract*:Hyperspherical*'
 FILTER+=':AngularSectorLookup*'
+# CSV ingest and Z-order: the chunked CSV scanner's in-place cell views,
+# buffer refills and growth, checked against the line-at-a-time reference
+# (ASan: reads past a line or chunk; UBSan with float-cast-overflow: id
+# conversions, the QoS catalog's too), and the radix-sorted Z-order's key
+# words and record passes.
+FILTER+=':CsvIo*:CsvFuzz*:*ZOrder*:CatalogCsv*'
 # The representative filter: kThreads map tasks share its read-only probe
 # tiles (TSan), the probe strides the tile lanes (ASan/UBSan), and the
 # engine runs it by default.

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <numeric>
+#include <utility>
 
 #include "src/common/error.hpp"
 #include "src/skyline/dominance_block.hpp"
@@ -445,47 +445,106 @@ void write_block_store(const std::string& path, const PointSet& ps,
 
 namespace {
 
-/// Chan's trick: among two quantized coordinates, the dimension whose values
-/// differ in a higher bit decides the Morton order — no interleaved bignum
-/// key needed.
-[[nodiscard]] bool less_msb(std::uint32_t a, std::uint32_t b) noexcept {
-  return a < b && a < (a ^ b);
+/// One radix-sort record: a 64-bit word of the row's Morton key, the row and
+/// its id. Sorting moves whole records, so no pass gathers from the rows.
+struct ZRecord {
+  std::uint64_t key;
+  std::uint32_t row;
+  PointId id;
+};
+
+constexpr unsigned kDigitBits = 16;
+constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+
+/// One stable counting-sort pass of `src` into `dst` by the digit
+/// `digit(record)`. Returns false, moving nothing, when every record has the
+/// same digit: the pass would leave the order as it is.
+template <typename Digit>
+bool radix_pass(const std::vector<ZRecord>& src, std::vector<ZRecord>& dst,
+                std::vector<std::uint32_t>& count, Digit digit) {
+  std::fill(count.begin(), count.end(), 0);
+  for (const ZRecord& r : src) ++count[digit(r)];
+  if (count[digit(src.front())] == src.size()) return false;
+  std::uint32_t start = 0;
+  for (std::uint32_t& c : count) start += std::exchange(c, start);
+  for (const ZRecord& r : src) dst[count[digit(r)]++] = r;
+  return true;
 }
 
 }  // namespace
 
 std::vector<std::size_t> zorder_permutation(const PointSet& ps) {
-  std::vector<std::size_t> order(ps.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (ps.size() <= 1) return order;
+  const std::size_t n = ps.size();
+  if (n <= 1) return std::vector<std::size_t>(n, 0);
+  MRSKY_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
+                "z-order needs fewer than 2^32 rows");
 
   // Quantize each attribute to 16 bits over its own [min, max] range so every
   // dimension contributes comparably to the curve.
   const std::vector<double> lo = ps.attribute_min();
   const std::vector<double> hi = ps.attribute_max();
   const std::size_t dim = ps.dim();
-  std::vector<std::uint32_t> q(ps.size() * dim);
-  for (std::size_t i = 0; i < ps.size(); ++i) {
+
+  // The Morton key interleaves the 16-bit codes into 16·dim bits: levels run
+  // from bit 15 down to 0 with dimension 0 first within a level, so bit l of
+  // dimension a sits at l·dim + (dim − 1 − a). Comparing keys is Chan's
+  // MSB-first comparison of the codes. Codes are spread `chunk` bits at a
+  // time through a table, and the key is stored as little-endian 64-bit words.
+  const std::size_t words = (dim + 3) / 4;
+  const std::size_t chunk = std::min<std::size_t>(8, 1 + 63 / dim);
+  std::vector<std::uint64_t> spread(std::size_t{1} << chunk, 0);
+  for (std::size_t v = 0; v < spread.size(); ++v) {
+    for (std::size_t b = 0; b < chunk; ++b) spread[v] |= std::uint64_t{(v >> b) & 1} << (b * dim);
+  }
+  std::vector<ZRecord> recs(n);
+  std::vector<std::uint64_t> upper(n * (words - 1));  // key words 1.. per row
+  std::vector<std::uint64_t> key(words + 1);          // + a spill word
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill(key.begin(), key.end(), 0);
     for (std::size_t a = 0; a < dim; ++a) {
       const double span = hi[a] - lo[a];
       double unit = span > 0 ? (ps.at(i, a) - lo[a]) / span : 0.0;
       if (!std::isfinite(unit)) unit = 0.0;
       unit = std::clamp(unit, 0.0, 1.0);
-      q[i * dim + a] = static_cast<std::uint32_t>(unit * 65535.0);
+      const auto q = static_cast<std::uint32_t>(unit * 65535.0);
+      for (std::size_t low = 0; low < 16; low += chunk) {
+        const std::uint64_t bits = spread[(q >> low) & (spread.size() - 1)];
+        const std::size_t pos = low * dim + (dim - 1 - a);
+        const std::size_t shift = pos % 64;
+        key[pos / 64] |= bits << shift;
+        if (shift != 0) key[pos / 64 + 1] |= bits >> (64 - shift);
+      }
     }
+    recs[i] = ZRecord{key[0], static_cast<std::uint32_t>(i), ps.id(i)};
+    std::copy(key.begin() + 1, key.begin() + static_cast<std::ptrdiff_t>(words),
+              upper.begin() + static_cast<std::ptrdiff_t>(i * (words - 1)));
   }
 
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    const std::uint32_t* px = q.data() + x * dim;
-    const std::uint32_t* py = q.data() + y * dim;
-    std::size_t msd = 0;
-    for (std::size_t a = 1; a < dim; ++a) {
-      if (less_msb(px[msd] ^ py[msd], px[a] ^ py[a])) msd = a;
+  // LSD radix sort by (key, id, row). Records start in row order; stable
+  // passes by id and then by the key's digits, least significant first, add
+  // the more significant criteria. Ids already non-decreasing in row order
+  // need no id pass.
+  std::vector<ZRecord> tmp(n);
+  std::vector<std::uint32_t> count(std::size_t{1} << kDigitBits);
+  const auto sort_by = [&](auto digit) {
+    if (radix_pass(recs, tmp, count, digit)) recs.swap(tmp);
+  };
+  if (!std::is_sorted(ps.ids().begin(), ps.ids().end())) {
+    for (unsigned shift = 0; shift < 32; shift += kDigitBits) {
+      sort_by([shift](const ZRecord& r) { return (r.id >> shift) & kDigitMask; });
     }
-    if (px[msd] != py[msd]) return px[msd] < py[msd];
-    if (ps.id(x) != ps.id(y)) return ps.id(x) < ps.id(y);  // deterministic tiebreak
-    return x < y;
-  });
+  }
+  for (std::size_t w = 0; w < words; ++w) {
+    if (w > 0) {
+      for (ZRecord& r : recs) r.key = upper[r.row * (words - 1) + (w - 1)];
+    }
+    const std::size_t key_bits = std::min<std::size_t>(64, 16 * dim - 64 * w);
+    for (unsigned shift = 0; shift < key_bits; shift += kDigitBits) {
+      sort_by([shift](const ZRecord& r) { return (r.key >> shift) & kDigitMask; });
+    }
+  }
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = recs[i].row;
   return order;
 }
 

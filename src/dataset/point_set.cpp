@@ -1,11 +1,19 @@
 #include "src/dataset/point_set.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/common/error.hpp"
 
 namespace mrsky::data {
+
+std::optional<PointId> point_id_from(double v) noexcept {
+  constexpr double kMaxId = std::numeric_limits<PointId>::max();
+  // The negated range test also rejects NaN.
+  if (!(v >= 0.0 && v <= kMaxId) || v != std::floor(v)) return std::nullopt;
+  return static_cast<PointId>(v);
+}
 
 PointSet::PointSet(std::size_t dim) : dim_(dim) {
   MRSKY_REQUIRE(dim >= 1, "points need at least one attribute");

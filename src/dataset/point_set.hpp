@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +21,12 @@ namespace mrsky::data {
 
 /// Stable identity of a point within its originating dataset.
 using PointId = std::uint32_t;
+
+/// The one checked conversion for ids that arrive from outside (a CSV or
+/// catalog id cell, a wire or script `delete`): the value must be a whole
+/// number in [0, 2^32 - 1]. Anything else (negative, fractional, NaN, ±inf,
+/// too large) is nullopt, never a truncating or undefined cast.
+[[nodiscard]] std::optional<PointId> point_id_from(double v) noexcept;
 
 class PointSet {
  public:

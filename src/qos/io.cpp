@@ -3,6 +3,7 @@
 #include <charconv>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -90,8 +91,11 @@ ServiceCatalog read_catalog_csv(std::istream& is, std::vector<data::QwsAttribute
     MRSKY_REQUIRE(cells.size() == header.size(),
                   "ragged catalog row " + std::to_string(row));
     WebService service;
-    service.id = static_cast<data::PointId>(
-        parse_double_or_throw(cells[0], "id of row " + std::to_string(row)));
+    const std::optional<data::PointId> id =
+        data::point_id_from(parse_double_or_throw(cells[0], "id of row " + std::to_string(row)));
+    MRSKY_REQUIRE(id.has_value(), "bad id in row " + std::to_string(row) + ": " + cells[0] +
+                                      " (ids are whole numbers in [0, 4294967295])");
+    service.id = *id;
     service.name = cells[1];
     service.qos.resize(catalog.schema().size());
     for (std::size_t c = 2; c < cells.size(); ++c) {

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -53,7 +54,10 @@ Request parse_json_request(const common::JsonValue& doc, std::size_t dim) {
     MRSKY_REQUIRE(del->is_array(), "delete expects an array of point ids");
     service::DeleteCommand cmd;
     for (const common::JsonValue& id : del->as_array()) {
-      cmd.ids.push_back(static_cast<data::PointId>(to_size(id, "point id")));
+      MRSKY_REQUIRE(id.is_number(), "point id must be a number");
+      const std::optional<data::PointId> checked = data::point_id_from(id.as_number());
+      MRSKY_REQUIRE(checked.has_value(), "point id must be an integer in [0, 4294967295]");
+      cmd.ids.push_back(*checked);
     }
     return cmd;
   }

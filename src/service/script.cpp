@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -149,12 +150,14 @@ std::vector<ScriptCommand> parse_query_script(std::istream& in, const std::strin
       bool ok = true;
       for (const std::string& item : split_commas(args[0])) {
         std::size_t id = 0;
-        if (!parse_size(item, id)) {
+        const std::optional<data::PointId> checked =
+            parse_size(item, id) ? data::point_id_from(static_cast<double>(id)) : std::nullopt;
+        if (!checked.has_value()) {
           bad("delete: bad point id '" + item + "'");
           ok = false;
           break;
         }
-        cmd.ids.push_back(static_cast<data::PointId>(id));
+        cmd.ids.push_back(*checked);
       }
       if (ok) commands.emplace_back(std::move(cmd));
     } else {

@@ -165,6 +165,36 @@ TEST(CsvIo, StrictModeIgnoresReportAndThrows) {
   EXPECT_THROW((void)read_csv(buffer, {}, &report), InvalidArgument);
 }
 
+// CSV ids are PointIds: whole numbers in [0, 2^32 - 1]. `-1` used to load
+// as 4294967295 through an undefined double-to-integer cast.
+TEST(CsvIo, IdOutsidePointIdRangeFailsTyped) {
+  for (const char* id : {"-1", "2.5", "nan", "inf", "1e20", "4294967296"}) {
+    std::stringstream buffer(std::string("id,x\n1,0.5\n") + id + ",0.25\n");
+    try {
+      (void)read_csv(buffer);
+      FAIL() << "strict read accepted id " << id;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("CSV row 1: bad id: ") + id),
+                std::string::npos)
+          << e.what();
+    }
+    std::stringstream lenient_buffer(std::string("id,x\n1,0.5\n") + id + ",0.25\n");
+    CsvReadOptions options;
+    options.lenient = true;
+    ParseReport report;
+    const PointSet ps = read_csv(lenient_buffer, options, &report);
+    EXPECT_EQ(ps.size(), 1u);
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].row, 1u);
+    EXPECT_EQ(report.issues[0].reason, std::string("bad id: ") + id);
+  }
+  std::stringstream buffer("id,x\n4294967295,0.5\n7.0,0.25\n");
+  const PointSet ps = read_csv(buffer);
+  ASSERT_EQ(ps.size(), 2u);
+  EXPECT_EQ(ps.id(0), 4294967295u);
+  EXPECT_EQ(ps.id(1), 7u);
+}
+
 TEST(CsvIo, ParseReportCapsRecordedIssues) {
   std::stringstream buffer;
   buffer << "1.0,2.0\n";

@@ -86,6 +86,18 @@ TEST(CatalogCsv, OutOfSchemaRangeThrows) {
   EXPECT_THROW((void)read_catalog_csv(buffer, data::qws_schema(1)), mrsky::InvalidArgument);
 }
 
+// Catalog ids are PointIds: `-1`, `2.5`, `nan` or `1e20` used to go through
+// an undefined double-to-integer cast.
+TEST(CatalogCsv, IdOutsidePointIdRangeThrows) {
+  for (const char* id : {"-1", "2.5", "nan", "inf", "1e20", "4294967296"}) {
+    std::stringstream buffer(std::string("id,name,ResponseTime\n") + id + ",alpha,200\n");
+    EXPECT_THROW((void)read_catalog_csv(buffer, data::qws_schema(1)), mrsky::InvalidArgument)
+        << id;
+  }
+  std::stringstream buffer("id,name,ResponseTime\n4294967295,alpha,200\n");
+  EXPECT_EQ(read_catalog_csv(buffer, data::qws_schema(1)).services()[0].id, 4294967295u);
+}
+
 TEST(CatalogCsv, EmptyFileThrows) {
   std::stringstream buffer("");
   EXPECT_THROW((void)read_catalog_csv(buffer, data::qws_schema(1)), mrsky::InvalidArgument);

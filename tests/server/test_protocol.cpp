@@ -93,6 +93,20 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW((void)parse_request(R"({"command":"reboot"})", kDim), InvalidArgument);
 }
 
+// Wire delete ids are PointIds: whole numbers in [0, 2^32 - 1]. A larger
+// value used to be cut to 32 bits, so `[4294967296]` deleted row 0.
+TEST(Protocol, DeleteIdsOutsidePointIdRangeFailTyped) {
+  const auto ok = parse_request(R"({"delete":[0,7,4294967295]})", kDim);
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(std::get<service::DeleteCommand>(*ok).ids,
+            (std::vector<data::PointId>{0, 7, 4294967295u}));
+  for (const char* bad : {R"({"delete":[4294967296]})", R"({"delete":[-1]})",
+                          R"({"delete":[2.5]})", R"({"delete":[1e20]})",
+                          R"({"delete":["3"]})"}) {
+    EXPECT_THROW((void)parse_request(bad, kDim), InvalidArgument) << bad;
+  }
+}
+
 TEST(Protocol, DoubleReprRoundTripsExactly) {
   const double values[] = {0.0,
                            -0.0,

@@ -84,6 +84,17 @@ TEST(Session, ErrorsBecomeResponsesNotThrows) {
   EXPECT_EQ(session.metrics().requests, 2u);
 }
 
+// Error text names the failing source file repo-relative, never the path
+// the library was built from.
+TEST(Session, ErrorLinesNameRepoRelativeSources) {
+  service::QueryEngine engine(workload(), {});
+  server::Session session(1, engine, "");
+  bool quit = false;
+  const std::string bad = session.handle_line(R"({"insert":[[0.5,0.5]]})", quit);
+  EXPECT_EQ(bad.rfind("{\"ok\":false,\"error\":\"src/server/protocol.cpp:", 0), 0u) << bad;
+  EXPECT_NE(bad.find("insert row has 2 coordinates"), std::string::npos) << bad;
+}
+
 TEST(Session, InlineInsertAdvancesVersion) {
   service::QueryEngine engine(workload(), {});
   server::Session session(1, engine, "");

@@ -88,6 +88,22 @@ TEST(QueryScript, SingleProblemUsesSingularWording) {
   }
 }
 
+// Script delete ids are PointIds: `delete 4294967298` used to be cut to 32
+// bits and delete row 2.
+TEST(QueryScript, DeleteIdsOutsidePointIdRangeFailTyped) {
+  const auto commands = parse("delete 0,4294967295\n");
+  ASSERT_EQ(commands.size(), 1u);
+  EXPECT_EQ(std::get<service::DeleteCommand>(commands[0]).ids,
+            (std::vector<data::PointId>{0, 4294967295u}));
+  try {
+    (void)parse("delete 1,4294967298\n");
+    FAIL() << "parse accepted an id past 2^32 - 1";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("bad point id '4294967298'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(QueryScript, MissingFileThrowsRuntimeError) {
   EXPECT_THROW((void)service::parse_query_script_file("/nonexistent/q.mrq"), RuntimeError);
 }
