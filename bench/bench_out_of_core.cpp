@@ -130,9 +130,12 @@ core::MRSkylineConfig fig5_config(const common::CliArgs& args) {
 
 int do_generate(const Options& opt) {
   const auto t0 = std::chrono::steady_clock::now();
-  data::PointSet ps = data::generate(opt.distribution, opt.cardinality, opt.dim, opt.seed);
-  if (opt.order == "zorder") ps = ps.select(data::zorder_permutation(ps));
-  data::write_block_store(opt.file, ps, opt.block_rows);
+  const data::PointSet ps = data::generate(opt.distribution, opt.cardinality, opt.dim, opt.seed);
+  if (opt.order == "zorder") {
+    data::write_block_store(opt.file, ps, data::zorder_permutation(ps), opt.block_rows);
+  } else {
+    data::write_block_store(opt.file, ps, opt.block_rows);
+  }
   const auto t1 = std::chrono::steady_clock::now();
   const data::BlockStore store(opt.file);
   std::cout << "generate: " << data::to_string(opt.distribution) << " N=" << opt.cardinality

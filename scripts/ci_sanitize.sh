@@ -45,6 +45,9 @@ FILTER+=':QueryEngine*:QueryScript*:ConfigValidate*:*ExtensionSweep*'
 # underneath (semaphore, JSON parser). EngineConcurrency is the suite whose
 # whole point is running under TSan.
 FILTER+=':EngineConcurrency*:SkylineServer*:Session*:Protocol*:Semaphore*:SlotGuard*:JsonValue*'
+# The rendered-points memo every session of a server shares (TSan: entries
+# swapped and evicted under readers; its session suites match Session*).
+FILTER+=':PointsMemo*'
 # Deadlines + cooperative cancellation (ISSUE 7): the token/deadline
 # primitives, the protocol fuzz loop, and the engine/server cancellation
 # paths. SkylineServerChaos and QueryEngineCancellation already match the

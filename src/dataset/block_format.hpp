@@ -45,6 +45,11 @@ inline constexpr std::uint32_t kVersion = 1;
 /// dependency-free so the dataset layer never includes skyline code).
 inline constexpr std::size_t kTileLanes = 8;
 
+/// Most attributes a `.mrb` file may have. The writer refuses more before it
+/// opens its file, and the reader refuses a header that claims more, so no
+/// file gets written that nothing can read.
+inline constexpr std::size_t kMaxDim = 1024;
+
 /// Default block capacity: 4096 rows keeps a 9-d block's payload at ~300 KiB
 /// — large enough to amortise per-block bookkeeping, small enough that a
 /// streaming reader's resident set stays a few blocks deep.

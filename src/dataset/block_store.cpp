@@ -70,6 +70,9 @@ BlockStoreWriter::BlockStoreWriter(const std::string& path, std::size_t dim,
                                    std::size_t block_rows)
     : impl_(std::make_unique<Impl>()), dim_(dim), block_rows_(block_rows) {
   MRSKY_REQUIRE(dim >= 1, "block store needs at least one attribute");
+  MRSKY_REQUIRE(dim <= blockfmt::kMaxDim,
+                "block store holds at most " + std::to_string(blockfmt::kMaxDim) +
+                    " attributes, got " + std::to_string(dim));
   MRSKY_REQUIRE(block_rows >= 1, "blocks must hold at least one row");
   impl_->path = path;
   impl_->file.open(path, std::ios::binary | std::ios::trunc);
@@ -112,6 +115,19 @@ void BlockStoreWriter::append(const PointSet& ps) {
     impl_->pending_ids.insert(impl_->pending_ids.end(), ids.begin(), ids.end());
     total_rows_ += take;
     row += take;
+    if (impl_->pending_ids.size() >= block_rows_) flush_block();
+  }
+}
+
+void BlockStoreWriter::append(const PointSet& ps, std::span<const std::size_t> rows) {
+  MRSKY_REQUIRE(!closed_, "append after close");
+  MRSKY_REQUIRE(ps.dim() == dim_, "point set dimension mismatch");
+  for (const std::size_t row : rows) {
+    MRSKY_REQUIRE(row < ps.size(), "row index out of range");
+    const std::span<const double> coords = ps.point(row);
+    impl_->pending_coords.insert(impl_->pending_coords.end(), coords.begin(), coords.end());
+    impl_->pending_ids.push_back(ps.id(row));
+    ++total_rows_;
     if (impl_->pending_ids.size() >= block_rows_) flush_block();
   }
 }
@@ -243,7 +259,7 @@ BlockStore::BlockStore(const std::string& path) : path_(path) {
   }
   dim_ = static_cast<std::size_t>(load_pod<std::uint64_t>(map_ + 8));
   block_rows_ = static_cast<std::size_t>(load_pod<std::uint64_t>(map_ + 16));
-  if (dim_ == 0 || dim_ > 1024) fail("implausible dimension in header");
+  if (dim_ == 0 || dim_ > blockfmt::kMaxDim) fail("implausible dimension in header");
   if (block_rows_ == 0) fail("zero block_rows in header");
 
   const unsigned char* trailer = map_ + file_bytes_ - blockfmt::kTrailerBytes;
@@ -438,6 +454,13 @@ void write_block_store(const std::string& path, const PointSet& ps,
                        std::size_t block_rows) {
   BlockStoreWriter writer(path, ps.dim(), block_rows);
   writer.append(ps);
+  writer.close();
+}
+
+void write_block_store(const std::string& path, const PointSet& ps,
+                       std::span<const std::size_t> rows, std::size_t block_rows) {
+  BlockStoreWriter writer(path, ps.dim(), block_rows);
+  writer.append(ps, rows);
   writer.close();
 }
 

@@ -32,9 +32,11 @@ namespace mrsky::data {
 class BlockStoreWriter {
  public:
   /// Opens `path` for writing `dim`-dimensional rows in blocks of
-  /// `block_rows`. Throws mrsky::RuntimeError on I/O failure. Output is a
-  /// pure function of the append sequence — bit-identical files for
-  /// identical input, whatever the batching of the append calls.
+  /// `block_rows`. Throws mrsky::InvalidArgument, before opening the file,
+  /// when `dim` is 0 or above blockfmt::kMaxDim, and mrsky::RuntimeError on
+  /// I/O failure. Output is a pure function of the append sequence —
+  /// bit-identical files for identical input, whatever the batching of the
+  /// append calls.
   BlockStoreWriter(const std::string& path, std::size_t dim,
                    std::size_t block_rows = blockfmt::kDefaultBlockRows);
   ~BlockStoreWriter();
@@ -44,6 +46,9 @@ class BlockStoreWriter {
 
   void append(PointId id, std::span<const double> coords);
   void append(const PointSet& ps);
+  /// Appends rows `rows[0]`, `rows[1]`, ... of `ps`, in that order, without
+  /// copying the whole set as `ps.select(rows)` would.
+  void append(const PointSet& ps, std::span<const std::size_t> rows);
 
   /// Flushes the last partial block and writes footer + trailer. Idempotent;
   /// the destructor calls it swallowing errors — call close() when you care.
@@ -177,6 +182,12 @@ class BlockStore {
 
 /// Writes `ps` as a `.mrb` file (convenience wrapper).
 void write_block_store(const std::string& path, const PointSet& ps,
+                       std::size_t block_rows = blockfmt::kDefaultBlockRows);
+
+/// Writes rows `rows[0]`, `rows[1]`, ... of `ps` as a `.mrb` file: the bytes
+/// of write_block_store(path, ps.select(rows), block_rows), without the copy.
+void write_block_store(const std::string& path, const PointSet& ps,
+                       std::span<const std::size_t> rows,
                        std::size_t block_rows = blockfmt::kDefaultBlockRows);
 
 /// Deterministic Z-order (Morton) row permutation: attributes normalized to

@@ -9,6 +9,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/json.hpp"
+#include "src/server/points_memo.hpp"
 
 namespace mrsky::server {
 
@@ -263,7 +264,63 @@ void append_ints(std::string& out, const std::vector<Int>& values) {
   out += ']';
 }
 
+/// result_line with its points array written by `put_points(out)`, which
+/// appends at most `points_size` bytes: the plain and the memo overloads
+/// share every other byte.
+template <class PutPoints>
+std::string render_result(const service::Query& query, const service::QueryResult& result,
+                          std::size_t points_size, PutPoints&& put_points) {
+  const service::QueryMetrics& m = result.metrics;
+  std::string out = "{\"ok\":true,\"kind\":\"" + service::query_kind(query) +
+                    "\",\"version\":" + std::to_string(m.dataset_version);
+  out.reserve(out.size() + kMaxTrailerChars + points_size +
+              result.ranking.size() * (4 + kMaxIntChars + kMaxDoubleChars) +
+              result.coverage.size() * (1 + kMaxIntChars));
+
+  if (std::holds_alternative<service::TopKWeightedQuery>(query)) {
+    out += ",\"ranking\":[";
+    for (std::size_t i = 0; i < result.ranking.size(); ++i) {
+      if (i > 0) out += ',';
+      out += '[';
+      append_int(out, result.ranking[i].id);
+      out += ',';
+      append_double(out, result.ranking[i].score);
+      out += ']';
+    }
+    out += ']';
+  } else {
+    out += ",\"points\":";
+    put_points(out);
+    if (std::holds_alternative<service::RepresentativeQuery>(query)) {
+      out += ",\"coverage\":";
+      append_ints(out, result.coverage);
+      out += ",\"total_covered\":";
+      append_int(out, result.total_covered);
+    }
+  }
+
+  out += ",\"metrics\":{\"cache_hit\":" + std::string(m.cache_hit ? "true" : "false") +
+         ",\"fit_reused\":" + (m.fit_reused ? "true" : "false") +
+         ",\"dominance_tests\":" + std::to_string(m.dominance_tests) +
+         ",\"wall_ns\":" + std::to_string(m.wall_ns) +
+         ",\"result_points\":" + std::to_string(m.result_points) + "}}";
+  return out;
+}
+
+/// subscribed_line up to its skyline.
+std::string subscribed_head(std::uint64_t base_version) {
+  return "{\"ok\":true,\"event\":\"subscribed\",\"version\":" + std::to_string(base_version) +
+         ",\"skyline\":";
+}
+
 }  // namespace
+
+std::string points_text(const data::PointSet& points) {
+  std::string out;
+  out.reserve(points_chars(points));
+  append_points(out, points);
+  return out;
+}
 
 std::string double_repr(double value) {
   std::string out;
@@ -294,41 +351,17 @@ std::string hello_line(std::uint64_t session_id, std::uint64_t version,
 }
 
 std::string result_line(const service::Query& query, const service::QueryResult& result) {
-  const service::QueryMetrics& m = result.metrics;
-  std::string out = "{\"ok\":true,\"kind\":\"" + service::query_kind(query) +
-                    "\",\"version\":" + std::to_string(m.dataset_version);
-  out.reserve(out.size() + kMaxTrailerChars + points_chars(result.points) +
-              result.ranking.size() * (4 + kMaxIntChars + kMaxDoubleChars) +
-              result.coverage.size() * (1 + kMaxIntChars));
+  return render_result(query, result, points_chars(result.points),
+                       [&](std::string& out) { append_points(out, result.points); });
+}
 
-  if (std::holds_alternative<service::TopKWeightedQuery>(query)) {
-    out += ",\"ranking\":[";
-    for (std::size_t i = 0; i < result.ranking.size(); ++i) {
-      if (i > 0) out += ',';
-      out += '[';
-      append_int(out, result.ranking[i].id);
-      out += ',';
-      append_double(out, result.ranking[i].score);
-      out += ']';
-    }
-    out += ']';
-  } else {
-    out += ",\"points\":";
-    append_points(out, result.points);
-    if (std::holds_alternative<service::RepresentativeQuery>(query)) {
-      out += ",\"coverage\":";
-      append_ints(out, result.coverage);
-      out += ",\"total_covered\":";
-      append_int(out, result.total_covered);
-    }
-  }
-
-  out += ",\"metrics\":{\"cache_hit\":" + std::string(m.cache_hit ? "true" : "false") +
-         ",\"fit_reused\":" + (m.fit_reused ? "true" : "false") +
-         ",\"dominance_tests\":" + std::to_string(m.dominance_tests) +
-         ",\"wall_ns\":" + std::to_string(m.wall_ns) +
-         ",\"result_points\":" + std::to_string(m.result_points) + "}}";
-  return out;
+std::string result_line(const service::Query& query, const service::QueryResult& result,
+                        PointsMemo& memo) {
+  if (std::holds_alternative<service::TopKWeightedQuery>(query)) return result_line(query, result);
+  const std::shared_ptr<const std::string> text =
+      memo.text(service::query_signature(query), result.points);
+  return render_result(query, result, text->size(),
+                       [&](std::string& out) { out += *text; });
 }
 
 std::string insert_line(std::size_t points, std::uint64_t version) {
@@ -344,10 +377,20 @@ std::string delete_line(const service::StreamDelta& delta) {
 }
 
 std::string subscribed_line(std::uint64_t base_version, const data::PointSet& base_skyline) {
-  std::string out = "{\"ok\":true,\"event\":\"subscribed\",\"version\":" +
-                    std::to_string(base_version) + ",\"skyline\":";
+  std::string out = subscribed_head(base_version);
   out.reserve(out.size() + kMaxTrailerChars + points_chars(base_skyline));
   append_points(out, base_skyline);
+  out += '}';
+  return out;
+}
+
+std::string subscribed_line(std::uint64_t base_version, const data::PointSet& base_skyline,
+                            PointsMemo& memo) {
+  const std::shared_ptr<const std::string> text =
+      memo.text(service::query_signature(service::SkylineQuery{}), base_skyline);
+  std::string out = subscribed_head(base_version);
+  out.reserve(out.size() + kMaxTrailerChars + text->size());
+  out += *text;
   out += '}';
   return out;
 }

@@ -48,8 +48,9 @@
 // shortest that round-trips (0.1 goes out as `0.10000000000000001`), and it
 // must not become that: clients and replays compare payloads byte for byte.
 // The renderer is std::to_chars at precision 17 in general format, which the
-// standard defines as that printf conversion. Blank lines and `#` comments
-// produce no response (they are script furniture, not requests).
+// standard defines as that printf conversion; a session reuses the text of
+// an identical earlier points array (points_memo.hpp). Blank lines and `#`
+// comments produce no response (they are script furniture, not requests).
 #pragma once
 
 #include <cstdint>
@@ -63,6 +64,8 @@
 #include "src/service/stream.hpp"
 
 namespace mrsky::server {
+
+class PointsMemo;
 
 /// Inline insert: the rows arrived on the wire, no file involved.
 struct InsertInline {
@@ -138,10 +141,18 @@ struct RequestEnvelope {
 [[nodiscard]] std::string hello_line(std::uint64_t session_id, std::uint64_t version,
                                      std::size_t dataset_size, std::size_t dim);
 
+/// `[[id,c,...],...]`: the text every points array on the wire takes.
+[[nodiscard]] std::string points_text(const data::PointSet& points);
+
 /// Result of a query: kind, snapshot version, payload (points / ranking /
 /// coverage as the kind demands) and this call's QueryMetrics.
 [[nodiscard]] std::string result_line(const service::Query& query,
                                       const service::QueryResult& result);
+
+/// The same bytes, with the points array taken from `memo` under the
+/// query's signature (a top-k ranking renders as above).
+[[nodiscard]] std::string result_line(const service::Query& query,
+                                      const service::QueryResult& result, PointsMemo& memo);
 
 /// Result of an insert: points folded in and the new snapshot version.
 [[nodiscard]] std::string insert_line(std::size_t points, std::uint64_t version);
@@ -153,6 +164,11 @@ struct RequestEnvelope {
 /// `[id,c,...]` point arrays) — the atomic starting replica deltas build on.
 [[nodiscard]] std::string subscribed_line(std::uint64_t base_version,
                                           const data::PointSet& base_skyline);
+
+/// The same bytes, with the skyline taken from `memo` under the skyline
+/// query's signature: a subscription's base is that version's skyline answer.
+[[nodiscard]] std::string subscribed_line(std::uint64_t base_version,
+                                          const data::PointSet& base_skyline, PointsMemo& memo);
 
 /// `{"ok":true,"event":"unsubscribed"}` (idempotent).
 [[nodiscard]] std::string unsubscribed_line();

@@ -26,17 +26,16 @@ std::string sys_error(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
-/// Writes the whole line plus '\n'. MSG_NOSIGNAL: a client that hung up turns
-/// into an error return here, not a process-wide SIGPIPE. With SO_SNDTIMEO
-/// set on the socket, a stalled reader makes send() fail with EAGAIN instead
-/// of blocking the session thread forever.
-bool send_line(int fd, const std::string& line) {
-  std::string framed = line;
-  framed += '\n';
+/// Writes the whole line plus '\n', appended in place: callers move the line
+/// in, so framing a response does not copy it. MSG_NOSIGNAL: a client that
+/// hung up turns into an error return here, not a process-wide SIGPIPE. With
+/// SO_SNDTIMEO set on the socket, a stalled reader makes send() fail with
+/// EAGAIN instead of blocking the session thread forever.
+bool send_line(int fd, std::string line) {
+  line += '\n';
   std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
+  while (sent < line.size()) {
+    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -344,7 +343,7 @@ void SkylineServer::serve_connection(Connection* conn, std::uint64_t session_id)
   sopts.insert_dir = options_.insert_dir;
   sopts.default_deadline_ms = options_.default_deadline_ms;
   sopts.max_request_bytes = options_.max_line_bytes;
-  Session session(session_id, engine_, std::move(sopts), conn->token);
+  Session session(session_id, engine_, std::move(sopts), conn->token, memo_);
 
   if (send_line(conn->fd, session.greeting())) {
     LineReader reader(conn->fd, options_.idle_timeout_ms, options_.max_line_bytes);
@@ -397,7 +396,7 @@ void SkylineServer::serve_connection(Connection* conn, std::uint64_t session_id)
                                        std::to_string(options_.max_line_bytes) + " bytes"));
         break;
       }
-      const std::string response = session.handle_line(line, quit);
+      std::string response = session.handle_line(line, quit);
       // Publish the subscription state before the ack leaves the socket:
       // once the client has read the "subscribed" response, stop() must see
       // this connection as subscribed, or a drain racing the next loop
@@ -405,7 +404,7 @@ void SkylineServer::serve_connection(Connection* conn, std::uint64_t session_id)
       conn->subscribed.store(session.subscription() != nullptr,
                              std::memory_order_release);
       if (response.empty()) continue;  // blank / comment line
-      if (!send_line(conn->fd, response)) break;
+      if (!send_line(conn->fd, std::move(response))) break;
     }
   }
   {

@@ -160,6 +160,9 @@ class SkylineServer {
 
   service::QueryEngine& engine_;
   ServerOptions options_;
+  /// Shared by every session, so an answer that repeats across sessions and
+  /// versions is not rendered again (DESIGN.md decision 22).
+  const std::shared_ptr<PointsMemo> memo_ = std::make_shared<PointsMemo>();
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

@@ -65,8 +65,11 @@ Session::Session(std::uint64_t id, service::QueryEngine& engine, std::string ins
     : Session(id, engine, SessionOptions{std::move(insert_dir), -1, 0}) {}
 
 Session::Session(std::uint64_t id, service::QueryEngine& engine, SessionOptions options,
-                 common::CancellationToken token)
-    : engine_(engine), options_(std::move(options)), token_(std::move(token)) {
+                 common::CancellationToken token, std::shared_ptr<PointsMemo> memo)
+    : engine_(engine),
+      options_(std::move(options)),
+      token_(std::move(token)),
+      memo_(memo != nullptr ? std::move(memo) : std::make_shared<PointsMemo>()) {
   if (!token_.armed()) token_ = common::CancellationToken::make();
   metrics_.id = id;
 }
@@ -144,7 +147,7 @@ std::string Session::run_query(const service::Query& query, std::int64_t deadlin
   try {
     const service::QueryResult result = engine_.execute(query, token_);
     metrics_.aggregate(result.metrics);
-    return result_line(query, result);
+    return result_line(query, result, *memo_);
   } catch (const QueryCancelled& e) {
     // Typed abort: accounted in its own counters, not as an error — the
     // request was well-formed, the server just stopped doing the work.
@@ -206,7 +209,7 @@ std::string Session::run_subscribe() {
   }
   sub_ = engine_.subscribe();
   metrics_.last_version = std::max(metrics_.last_version, sub_->base_version());
-  return subscribed_line(sub_->base_version(), sub_->base_skyline());
+  return subscribed_line(sub_->base_version(), sub_->base_skyline(), *memo_);
 }
 
 }  // namespace mrsky::server

@@ -16,12 +16,19 @@
 // `deadline_ms`, else the server default) and clears it afterwards; a query
 // stopped by either signal is answered with a typed cancellation line and
 // counted in `cancelled` / `deadline_missed`, never in `errors`.
+//
+// Every points array a session sends (query answers and a subscription's
+// base skyline) goes through a PointsMemo, so a read that repeats an earlier
+// answer to the same query sends that answer's text without printing its
+// coordinates again. The head and the metrics stay per request.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/common/sync.hpp"
+#include "src/server/points_memo.hpp"
 #include "src/server/protocol.hpp"
 #include "src/service/query_engine.hpp"
 
@@ -76,8 +83,10 @@ class Session {
   /// `token` is the session-lifetime cancellation handle; the caller keeps a
   /// copy to cancel the session from outside (the server's drain). An inert
   /// token is replaced with a private armed one, so deadlines always work.
+  /// `memo` renders every points array the session sends; the server shares
+  /// one among its sessions, and a null memo is replaced with a private one.
   Session(std::uint64_t id, service::QueryEngine& engine, SessionOptions options,
-          common::CancellationToken token = {});
+          common::CancellationToken token = {}, std::shared_ptr<PointsMemo> memo = nullptr);
 
   /// The greeting the server sends on connect.
   [[nodiscard]] std::string greeting() const;
@@ -117,6 +126,7 @@ class Session {
   service::QueryEngine& engine_;
   SessionOptions options_;
   common::CancellationToken token_;
+  std::shared_ptr<PointsMemo> memo_;
   SessionMetrics metrics_;
   service::StreamSubscriptionPtr sub_;
 };

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -240,6 +245,52 @@ TEST(BlockStore, ZorderPermutationIsADeterministicPermutation) {
   EXPECT_EQ(sorted_ids(loaded), sorted_ids(ps));
 }
 
+// Rows appended through a permutation write the bytes of the permuted copy:
+// z-order, reversed and repeated rows, partial and exact blocks.
+TEST(BlockStore, PermutedAppendWritesTheSelectedCopysBytes) {
+  struct Shape {
+    std::size_t n, dim, block_rows;
+  };
+  for (const Shape& shape : {Shape{0, 3, 16}, Shape{1, 1, 1}, Shape{1000, 4, 37},
+                             Shape{777, 9, 4096}, Shape{4096, 2, 512}}) {
+    const PointSet ps = generate(Distribution::kAnticorrelated, shape.n, shape.dim, 67);
+    std::vector<std::size_t> reversed(ps.size());
+    for (std::size_t i = 0; i < reversed.size(); ++i) reversed[i] = ps.size() - 1 - i;
+    std::vector<std::size_t> repeated;
+    for (std::size_t i = 0; i < ps.size(); i += 3) repeated.insert(repeated.end(), {i, i});
+    for (const std::vector<std::size_t>& rows : {zorder_permutation(ps), reversed, repeated}) {
+      const std::string copied = temp_path("bs_selected.mrb");
+      const std::string permuted = temp_path("bs_permuted.mrb");
+      write_block_store(copied, ps.select(rows), shape.block_rows);
+      write_block_store(permuted, ps, rows, shape.block_rows);
+      EXPECT_EQ(read_bytes(permuted), read_bytes(copied))
+          << shape.n << " x " << shape.dim << " in blocks of " << shape.block_rows;
+    }
+  }
+  BlockStoreWriter writer(temp_path("bs_out_of_range.mrb"), 2);
+  const std::vector<std::size_t> past_end = {0, 5};
+  EXPECT_THROW(writer.append(generate(Distribution::kIndependent, 5, 2, 3), past_end),
+               InvalidArgument);
+}
+
+// The writer and the reader share one dimension bound: the widest file
+// round-trips, and one attribute more fails typed before a file exists.
+TEST(BlockStore, WriterRefusesWhatTheReaderWouldRefuse) {
+  const PointSet widest = generate(Distribution::kIndependent, 20, blockfmt::kMaxDim, 71);
+  const std::string path = temp_path("bs_widest.mrb");
+  write_block_store(path, widest, 8);
+  const BlockStore store(path);
+  EXPECT_EQ(store.dim(), blockfmt::kMaxDim);
+  EXPECT_EQ(store.materialize(), widest);
+
+  const std::string too_wide = temp_path("bs_too_wide.mrb");
+  std::filesystem::remove(too_wide);
+  EXPECT_THROW(BlockStoreWriter(too_wide, blockfmt::kMaxDim + 1), InvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(too_wide));
+  EXPECT_THROW(BlockStoreWriter(too_wide, 0), InvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(too_wide));
+}
+
 // ---------------------------------------------------------------------------
 // DatasetSource: the uniform interface over resident sets, .mrb files and
 // streamed CSVs.
@@ -325,6 +376,41 @@ TEST(DatasetSource, CsvSourceLenientReportsDroppedRows) {
   const CsvSource source(csv, options, &report);
   EXPECT_EQ(source.size(), 2u);
   EXPECT_EQ(report.rows_skipped, 1u);
+}
+
+/// This process's staged CSV files in the temp directory.
+std::set<std::string> staged_files() {
+  const std::string prefix = "mrsky-csv-" + std::to_string(::getpid()) + "-";
+  std::set<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::temp_directory_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) names.insert(name);
+  }
+  return names;
+}
+
+// A CSV wider than a `.mrb` holds fails typed at its first row, before any
+// row is staged; the widest one streams.
+TEST(DatasetSource, CsvSourceRefusesTooManyColumnsBeforeStaging) {
+  const std::string widest = temp_path("src_widest.csv");
+  const std::string too_wide = temp_path("src_too_wide.csv");
+  write_csv_file(widest, generate(Distribution::kIndependent, 40, blockfmt::kMaxDim, 73));
+  write_csv_file(too_wide, generate(Distribution::kIndependent, 40, blockfmt::kMaxDim + 1, 73));
+  {
+    const CsvSource source(widest);
+    EXPECT_EQ(source.dim(), blockfmt::kMaxDim);
+    EXPECT_EQ(source.size(), 40u);
+  }
+  const std::set<std::string> before = staged_files();
+  try {
+    const CsvSource source(too_wide);
+    ADD_FAILURE() << "a " << blockfmt::kMaxDim + 1 << "-column CSV was staged";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 1024 attributes"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(staged_files(), before);
 }
 
 TEST(DatasetSource, OpenDatasetDispatchesOnExtension) {

@@ -252,13 +252,13 @@ int cmd_convert(const common::CliArgs& args) {
   if (args.get_bool("normalize", false)) ps = data::normalize_min_max(ps);
 
   const std::string order = args.get_string("order", "input");
+  MRSKY_REQUIRE(order == "input" || order == "zorder",
+                "--order must be 'input' or 'zorder', got '" + order + "'");
   if (order == "zorder") {
-    ps = ps.select(data::zorder_permutation(ps));
+    data::write_block_store(output, ps, data::zorder_permutation(ps), block_rows);
   } else {
-    MRSKY_REQUIRE(order == "input", "--order must be 'input' or 'zorder', got '" + order + "'");
+    data::write_block_store(output, ps, block_rows);
   }
-
-  data::write_block_store(output, ps, block_rows);
   const data::BlockStore store(output);
   std::cout << "wrote " << store.rows() << " points x " << store.dim() << " attributes to "
             << output << ": " << store.block_count() << " blocks of <= " << store.block_rows()
