@@ -56,14 +56,17 @@ FILTER+=':Cancellation*:Deadline*:ProtocolFuzz*'
 # Partition diagnostics: the report job 1's routing fills in.
 FILTER+=':PartitionStats*'
 # Streaming skylines: exact maintenance under deletes/TTL
-# (MaintainedSkyline), the randomized insert/delete/TTL/window sweeps — their
-# parameterised names start with the instantiation prefix `Cases/`, hence the
-# leading `*` — and, the part that exists FOR TSan, standing subscriptions
-# racing apply_batch publishers and server drain (Subscription*). The QoS
-# selector's adds and removes run on the same maintained structure. Subspace
-# reads sweep the snapshot's rows for ties with its skyline (ASan/UBSan: the
-# tie pass's table and row strides).
-FILTER+=':MaintainedSkyline*:*StreamSweep*:*StreamTopKSweep*:*StreamSubspaceSweep*'
+# (MaintainedSkyline, and its differential suite against the pre-flat
+# reference — ASan/UBSan: the intrusive list splices, the tile lanes and the
+# id table's backward-shift deletes), the randomized insert/delete/TTL/window
+# sweeps — their parameterised names start with the instantiation prefix
+# `Cases/`, hence the leading `*` — and, the part that exists FOR TSan,
+# standing subscriptions racing apply_batch publishers and server drain
+# (Subscription*). The QoS selector's adds and removes run on the same
+# maintained structure. Subspace reads sweep the snapshot's rows for ties with
+# its skyline (ASan/UBSan: the tie pass's table and row strides).
+FILTER+=':MaintainedSkyline*:*MaintainedSkylineDifferential*'
+FILTER+=':*StreamSweep*:*StreamTopKSweep*:*StreamSubspaceSweep*'
 FILTER+=':Subscription*:NotifyQueue*'
 FILTER+=':SkylineServiceSelector*:RemoveService*'
 # Out-of-core block storage (ISSUE 10): mmap'd block reads feeding the
@@ -85,8 +88,8 @@ FILTER+=':AngularSectorLookup*'
 # buffer refills and growth, checked against the line-at-a-time reference
 # (ASan: reads past a line or chunk; UBSan with float-cast-overflow: id
 # conversions, the QoS catalog's too), and the radix-sorted Z-order's key
-# words and record passes.
-FILTER+=':CsvIo*:CsvFuzz*:*ZOrder*:CatalogCsv*'
+# words and record passes, fed by the one-pass attribute bounds.
+FILTER+=':CsvIo*:CsvFuzz*:*ZOrder*:CatalogCsv*:PointSet*'
 # The representative filter: kThreads map tasks share its read-only probe
 # tiles (TSan), the probe strides the tile lanes (ASan/UBSan), and the
 # engine runs it by default.

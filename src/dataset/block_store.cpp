@@ -504,8 +504,7 @@ std::vector<std::size_t> zorder_permutation(const PointSet& ps) {
 
   // Quantize each attribute to 16 bits over its own [min, max] range so every
   // dimension contributes comparably to the curve.
-  const std::vector<double> lo = ps.attribute_min();
-  const std::vector<double> hi = ps.attribute_max();
+  const auto [lo, hi] = ps.attribute_bounds();
   const std::size_t dim = ps.dim();
 
   // The Morton key interleaves the 16-bit codes into 16·dim bits: levels run

@@ -1,5 +1,7 @@
 #include "src/dataset/normalize.hpp"
 
+#include <utility>
+
 #include "src/common/error.hpp"
 
 namespace mrsky::data {
@@ -32,7 +34,8 @@ PointSet NormalizationMap::invert(const PointSet& ps) const {
 }
 
 NormalizationMap fit_min_max(const PointSet& ps) {
-  return NormalizationMap{ps.attribute_min(), ps.attribute_max()};
+  auto [lo, hi] = ps.attribute_bounds();
+  return NormalizationMap{std::move(lo), std::move(hi)};
 }
 
 PointSet normalize_min_max(const PointSet& ps) { return fit_min_max(ps).apply(ps); }

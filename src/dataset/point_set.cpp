@@ -86,22 +86,19 @@ PointSet PointSet::select(std::span<const std::size_t> indices) const {
   return out;
 }
 
-std::vector<double> PointSet::attribute_min() const {
-  MRSKY_REQUIRE(!empty(), "attribute_min of empty set");
-  std::vector<double> mins(dim_, std::numeric_limits<double>::infinity());
+AttributeBounds PointSet::attribute_bounds() const {
+  MRSKY_REQUIRE(!empty(), "attribute_bounds of empty set");
+  AttributeBounds b{std::vector<double>(dim_, std::numeric_limits<double>::infinity()),
+                    std::vector<double>(dim_, -std::numeric_limits<double>::infinity())};
+  // std::min/std::max keep their first argument unless the second compares
+  // strictly better, which is what keeps NaN out and the first-seen zero in.
   for (std::size_t i = 0; i < size(); ++i) {
-    for (std::size_t a = 0; a < dim_; ++a) mins[a] = std::min(mins[a], at(i, a));
+    for (std::size_t a = 0; a < dim_; ++a) {
+      b.lo[a] = std::min(b.lo[a], at(i, a));
+      b.hi[a] = std::max(b.hi[a], at(i, a));
+    }
   }
-  return mins;
-}
-
-std::vector<double> PointSet::attribute_max() const {
-  MRSKY_REQUIRE(!empty(), "attribute_max of empty set");
-  std::vector<double> maxs(dim_, -std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < size(); ++i) {
-    for (std::size_t a = 0; a < dim_; ++a) maxs[a] = std::max(maxs[a], at(i, a));
-  }
-  return maxs;
+  return b;
 }
 
 std::vector<PointId> sorted_ids(const PointSet& ps) {

@@ -28,6 +28,12 @@ using PointId = std::uint32_t;
 /// too large) is nullopt, never a truncating or undefined cast.
 [[nodiscard]] std::optional<PointId> point_id_from(double v) noexcept;
 
+/// Per-attribute minimum (`lo`) and maximum (`hi`) of a PointSet.
+struct AttributeBounds {
+  std::vector<double> lo;
+  std::vector<double> hi;
+};
+
 class PointSet {
  public:
   /// An empty set of `dim`-dimensional points (dim >= 1).
@@ -83,9 +89,10 @@ class PointSet {
   /// New PointSet holding rows [indices] of this one (ids preserved).
   [[nodiscard]] PointSet select(std::span<const std::size_t> indices) const;
 
-  /// Per-attribute minimum/maximum over all points. Throws if empty.
-  [[nodiscard]] std::vector<double> attribute_min() const;
-  [[nodiscard]] std::vector<double> attribute_max() const;
+  /// Per-attribute minimum and maximum over all points, in one pass. NaN
+  /// never enters a bound, and between -0.0 and +0.0 the first seen wins.
+  /// Throws if empty.
+  [[nodiscard]] AttributeBounds attribute_bounds() const;
 
   /// Raw row-major storage (size() * dim() doubles).
   [[nodiscard]] std::span<const double> raw() const noexcept { return values_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/error.hpp"
 
@@ -112,8 +113,9 @@ BootstrapResampler::BootstrapResampler(data::PointSet seed_data, double jitter)
     : seed_(std::move(seed_data)), jitter_(jitter) {
   MRSKY_REQUIRE(!seed_.empty(), "bootstrap resampling needs seed data");
   MRSKY_REQUIRE(jitter >= 0.0 && jitter < 1.0, "jitter must be in [0, 1)");
-  lo_ = seed_.attribute_min();
-  hi_ = seed_.attribute_max();
+  auto [lo, hi] = seed_.attribute_bounds();
+  lo_ = std::move(lo);
+  hi_ = std::move(hi);
 }
 
 PointSet BootstrapResampler::generate(std::size_t n, common::Rng& rng) const {

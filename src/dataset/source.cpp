@@ -180,16 +180,23 @@ CsvSource::CsvSource(const std::string& path, const CsvReadOptions& options,
                 ("mrsky-csv-" + std::to_string(::getpid()) + "-" + std::to_string(tag) +
                  ".mrb"))
                    .string();
-  {
-    BlockStoreWriter writer(temp_path_, reader.dim(),
-                            block_rows > 0 ? block_rows : blockfmt::kDefaultBlockRows);
-    std::vector<double> row(reader.dim());
-    PointId id = 0;
-    while (reader.next(id, row)) writer.append(id, row);
-    MRSKY_REQUIRE(writer.rows_written() > 0, "CSV contains no usable data rows");
-    writer.close();
+  // A throwing constructor never runs ~CsvSource, so a failure after the
+  // writer opened the file unlinks it here (the writer is gone by then).
+  try {
+    {
+      BlockStoreWriter writer(temp_path_, reader.dim(),
+                              block_rows > 0 ? block_rows : blockfmt::kDefaultBlockRows);
+      std::vector<double> row(reader.dim());
+      PointId id = 0;
+      while (reader.next(id, row)) writer.append(id, row);
+      MRSKY_REQUIRE(writer.rows_written() > 0, "CSV contains no usable data rows");
+      writer.close();
+    }
+    backing_ = std::make_unique<BlockStoreSource>(temp_path_);
+  } catch (...) {
+    std::remove(temp_path_.c_str());
+    throw;
   }
-  backing_ = std::make_unique<BlockStoreSource>(temp_path_);
 }
 
 CsvSource::~CsvSource() {

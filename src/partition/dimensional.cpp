@@ -15,8 +15,9 @@ DimensionalPartitioner::DimensionalPartitioner(std::size_t num_partitions, std::
 void DimensionalPartitioner::fit(const data::PointSet& ps) {
   MRSKY_REQUIRE(split_dim_ < ps.dim(), "split dimension out of range");
   MRSKY_REQUIRE(!ps.empty(), "cannot fit a partitioner on an empty dataset");
-  lo_ = ps.attribute_min()[split_dim_];
-  const double hi = ps.attribute_max()[split_dim_];
+  const data::AttributeBounds bounds = ps.attribute_bounds();
+  lo_ = bounds.lo[split_dim_];
+  const double hi = bounds.hi[split_dim_];
   width_ = (hi - lo_) / static_cast<double>(num_partitions_);
   fitted_ = true;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -31,8 +32,8 @@ std::vector<std::size_t> GridPartitioner::cell_of(std::span<const double> point)
 void GridPartitioner::fit(const data::PointSet& ps) {
   MRSKY_REQUIRE(!ps.empty(), "cannot fit a partitioner on an empty dataset");
   shape_ = geo::balanced_grid_shape(num_partitions_, ps.dim());
-  lo_ = ps.attribute_min();
-  const auto hi = ps.attribute_max();
+  auto [lo, hi] = ps.attribute_bounds();
+  lo_ = std::move(lo);
   width_.resize(ps.dim());
   for (std::size_t a = 0; a < ps.dim(); ++a) {
     width_[a] = (hi[a] - lo_[a]) / static_cast<double>(shape_[a]);

@@ -56,7 +56,7 @@ void SkylineServiceSelector::full_recompute() {
 skyline::MaintainedSkyline& SkylineServiceSelector::maintained() {
   if (!computed_) full_recompute();
   if (!maintained_) {
-    maintained_.emplace(catalog_.to_oriented_points());
+    maintained_.emplace(catalog_.to_oriented_points(), last_run_.skyline.ids());
     load_tests_ = maintained_->stats().dominance_tests;
   }
   return *maintained_;

@@ -88,7 +88,8 @@ class SkylineServiceSelector {
 
  private:
   void full_recompute();
-  /// Loads maintained_ from every registered service, once per full run.
+  /// Loads maintained_ from every registered service, once per full run,
+  /// the run's skyline first.
   skyline::MaintainedSkyline& maintained();
   void refresh_service_view(const data::PointSet& global);
 

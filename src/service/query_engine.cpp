@@ -525,9 +525,15 @@ void QueryEngine::purge_derived_state(const EngineSnapshotPtr& published) {
   cache_store(cache_key(Query{SkylineQuery{}}, published->version), published->version, payload);
 }
 
-void QueryEngine::engage_streaming(const data::PointSet& dataset) {
-  maintained_ = std::make_unique<skyline::MaintainedSkyline>(dataset);
-  for (data::PointId id : dataset.ids()) arrival_order_.push_back(id);
+void QueryEngine::engage_streaming(const EngineSnapshot& snap) {
+  const data::PointSet& dataset = *snap.dataset;
+  maintained_ = snap.full_skyline != nullptr
+                    ? std::make_unique<skyline::MaintainedSkyline>(dataset,
+                                                                   snap.full_skyline->ids())
+                    : std::make_unique<skyline::MaintainedSkyline>(dataset);
+  if (options_.window_capacity > 0) {
+    arrival_order_.assign(dataset.ids().begin(), dataset.ids().end());
+  }
 }
 
 void QueryEngine::publish_delta(const StreamDelta& delta) {
@@ -566,7 +572,7 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
   // the arrival order.
   std::shared_ptr<const data::PointSet> prev_rows = old->dataset;
   if (maintained_ == nullptr) {
-    engage_streaming(*old->dataset);
+    engage_streaming(*old);
     const std::span<const data::PointId> ids = old->dataset->ids();
     if (!std::is_sorted(ids.begin(), ids.end())) {
       prev_rows = std::make_shared<const data::PointSet>(canonical_by_id(*old->dataset));
@@ -612,7 +618,7 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
   for (std::size_t i = 0; i < batch.inserts.size(); ++i) {
     const data::PointId id = next_id_++;
     (void)maintained_->insert(batch.inserts.point(i), id);
-    arrival_order_.push_back(id);
+    if (options_.window_capacity > 0) arrival_order_.push_back(id);
     new_ids.push_back(id);
     const std::int64_t requested = batch.ttl_ticks.empty() ? 0 : batch.ttl_ticks[i];
     const std::uint64_t ttl = requested > 0 ? static_cast<std::uint64_t>(requested)
@@ -630,6 +636,14 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
         ++delta.expired;
         removed_ids.push_back(id);
       }
+    }
+    // Ids that left by delete or TTL stay queued until eviction reaches
+    // them, which it never does while deletes keep the set under capacity.
+    // Every live id is queued, so once the stale ones outnumber the live
+    // ones, drop them (order kept): amortised O(1) per removal.
+    if (arrival_order_.size() > 2 * maintained_->size()) {
+      std::erase_if(arrival_order_,
+                    [this](data::PointId id) { return !maintained_->contains(id); });
     }
   }
 

@@ -331,9 +331,10 @@ class QueryEngine {
   void purge_derived_state(const EngineSnapshotPtr& published);
 
   /// At the first write (caller holds write_mutex_): bulk-loads the
-  /// maintained structure from `dataset` and records its rows' order as the
-  /// count window's arrival order.
-  void engage_streaming(const data::PointSet& dataset);
+  /// maintained structure from `snap`'s dataset, its full skyline first when
+  /// the snapshot carries one, and, under a count window, records the rows'
+  /// order as the arrival order.
+  void engage_streaming(const EngineSnapshot& snap);
 
   /// Fans `delta` out to live subscriptions (prunes dead ones).
   void publish_delta(const StreamDelta& delta);
@@ -363,7 +364,9 @@ class QueryEngine {
                       std::vector<std::pair<std::uint64_t, data::PointId>>,
                       std::greater<>>
       expiries_;
-  /// Live insertion order for the count window (stale ids popped lazily).
+  /// Insertion order for the count window; kept only when window_capacity
+  /// > 0. Holds every live id, plus stale ones that left by delete or TTL
+  /// (popped lazily, and dropped once they outnumber the live ones).
   std::deque<data::PointId> arrival_order_;
 
   /// Live subscriptions (weak: a dropped subscriber unregisters itself).

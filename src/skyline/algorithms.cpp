@@ -21,62 +21,6 @@ namespace {
 // simulator's time model built on them — are bit-identical to the scalar
 // implementation.
 
-/// Lane-wise probe of one tile, with the scalar dominates() early exits.
-/// Returns the first dominating lane, or kTileWidth if none of the `valid`
-/// lanes dominates p.
-std::size_t first_dominator_lanewise(const double* p, const double* tile, std::size_t dim,
-                                     std::size_t valid) {
-  for (std::size_t lane = 0; lane < valid; ++lane) {
-    bool strictly_better = false;
-    bool dominates_p = true;
-    for (std::size_t a = 0; a < dim; ++a) {
-      const double q = tile[a * kTileWidth + lane];
-      if (q > p[a]) {
-        dominates_p = false;
-        break;
-      }
-      if (q < p[a]) strictly_better = true;
-    }
-    if (dominates_p && strictly_better) return lane;
-  }
-  return kTileWidth;
-}
-
-/// One-directional probe: is p dominated by any window point? Counts tests
-/// like the scalar `for (w : window) if (dominates(w, p)) break;` loop.
-///
-/// Hybrid schedule: dominated candidates almost always fall to the head of
-/// the window (best points first under SFS order, earliest survivors under
-/// BNL), where per-pair early exit beats a full-depth tile — so the head tile
-/// is probed lane-wise; the tail, reached mostly by near-survivors whose
-/// lanes are incomparable, runs on the batched kernel.
-bool dominated_by_window(const TiledWindow& window, std::span<const double> p,
-                         SkylineStats& stats) {
-  const std::size_t dim = window.dim();
-  const std::size_t tiles = window.tiles();
-  if (tiles == 0) return false;
-
-  const std::uint32_t head_vm = window.valid_mask(0);
-  const std::size_t head_lane = first_dominator_lanewise(
-      p.data(), window.tile_data(0), dim, static_cast<std::size_t>(std::popcount(head_vm)));
-  if (head_lane < kTileWidth) {
-    stats.dominance_tests += head_lane + 1;
-    return true;
-  }
-  stats.dominance_tests += static_cast<std::uint64_t>(std::popcount(head_vm));
-
-  for (std::size_t t = 1; t < tiles; ++t) {
-    const std::uint32_t vm = window.valid_mask(t);
-    const std::uint32_t dominated_by = dominators_in_block(p.data(), window.tile_data(t), dim) & vm;
-    if (dominated_by != 0) {
-      stats.dominance_tests += static_cast<std::uint64_t>(std::countr_zero(dominated_by)) + 1;
-      return true;
-    }
-    stats.dominance_tests += static_cast<std::uint64_t>(std::popcount(vm));
-  }
-  return false;
-}
-
 /// The BNL window pass shared by bnl_skyline and the D&C base case: scans
 /// `order` in sequence, dropping window points the candidate dominates and
 /// rejecting candidates some window point dominates. Returns the surviving
@@ -188,7 +132,7 @@ data::PointSet sfs_skyline(const data::PointSet& ps, SkylineStats* stats_out) {
       window.push_back(ps, i);
       continue;
     }
-    if (!dominated_by_window(window, p, stats)) window.push_back(ps, i);
+    if (first_dominator(window, p, stats) == window.size()) window.push_back(ps, i);
   }
 
   const auto payloads = window.payloads();
@@ -232,7 +176,7 @@ std::vector<std::size_t> dc_recurse(const data::PointSet& ps, std::vector<std::s
         out.push_back(c);
         continue;
       }
-      if (!dominated_by_window(aw, p, stats)) out.push_back(c);
+      if (first_dominator(aw, p, stats) == aw.size()) out.push_back(c);
     }
     return out;
   };

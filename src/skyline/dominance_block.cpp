@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
 #define MRSKY_HAVE_AVX2_PATH 1
@@ -15,6 +16,27 @@ namespace mrsky::skyline {
 namespace {
 
 std::atomic<bool> g_prefilter_enabled{true};
+
+/// Lane-wise probe of one tile, with the scalar dominates() early exits.
+/// Returns the first dominating lane, or kTileWidth if none of the `valid`
+/// lanes dominates p.
+std::size_t first_dominator_lanewise(const double* p, const double* tile, std::size_t dim,
+                                     std::size_t valid) noexcept {
+  for (std::size_t lane = 0; lane < valid; ++lane) {
+    bool strictly_better = false;
+    bool dominates_p = true;
+    for (std::size_t a = 0; a < dim; ++a) {
+      const double q = tile[a * kTileWidth + lane];
+      if (q > p[a]) {
+        dominates_p = false;
+        break;
+      }
+      if (q < p[a]) strictly_better = true;
+    }
+    if (dominates_p && strictly_better) return lane;
+  }
+  return kTileWidth;
+}
 
 #if MRSKY_HAVE_AVX2_PATH
 
@@ -116,6 +138,35 @@ void set_prefilter_enabled(bool enabled) noexcept {
 }
 
 bool prefilter_enabled() noexcept { return g_prefilter_enabled.load(std::memory_order_relaxed); }
+
+std::size_t first_dominator(const TiledWindow& window, std::span<const double> p,
+                            SkylineStats& stats) noexcept {
+  const std::size_t dim = window.dim();
+  const std::size_t tiles = window.tiles();
+  if (tiles == 0) return window.size();
+
+  const std::uint32_t head_vm = window.valid_mask(0);
+  const std::size_t head_valid = static_cast<std::size_t>(std::popcount(head_vm));
+  const std::size_t head_lane =
+      first_dominator_lanewise(p.data(), window.tile_data(0), dim, head_valid);
+  if (head_lane < kTileWidth) {
+    stats.dominance_tests += head_lane + 1;
+    return head_lane;
+  }
+  stats.dominance_tests += head_valid;
+
+  for (std::size_t t = 1; t < tiles; ++t) {
+    const std::uint32_t vm = window.valid_mask(t);
+    const std::uint32_t dominated_by = dominators_in_block(p.data(), window.tile_data(t), dim) & vm;
+    if (dominated_by != 0) {
+      const auto lane = static_cast<std::size_t>(std::countr_zero(dominated_by));
+      stats.dominance_tests += lane + 1;
+      return t * kTileWidth + lane;
+    }
+    stats.dominance_tests += static_cast<std::uint64_t>(std::popcount(vm));
+  }
+  return window.size();
+}
 
 void TiledWindow::begin_lane() {
   if (size_ % kTileWidth == 0) {

@@ -32,6 +32,7 @@
 
 #include "src/common/error.hpp"
 #include "src/dataset/point_set.hpp"
+#include "src/skyline/dominance.hpp"
 
 namespace mrsky::skyline {
 
@@ -209,5 +210,20 @@ class TiledWindow {
   std::vector<double> min_corner_;
   std::vector<double> max_corner_;
 };
+
+/// Window position (lane index across tiles) of the first point of `window`
+/// that dominates `p`, or window.size() if none does. Charges
+/// stats.dominance_tests like the scalar `for (w : window) if (dominates(w,
+/// p)) break;` loop: positions up to and including the dominator, else every
+/// point.
+///
+/// Hybrid schedule: dominated candidates almost always fall to the head of
+/// the window (best points first under SFS order, earliest survivors under
+/// BNL, a maintained skyline's loaded F), where per-pair early exit beats a
+/// full-depth tile — so the head tile is probed lane-wise; the tail, reached
+/// mostly by near-survivors whose lanes are incomparable, runs on
+/// dominators_in_block.
+[[nodiscard]] std::size_t first_dominator(const TiledWindow& window, std::span<const double> p,
+                                          SkylineStats& stats) noexcept;
 
 }  // namespace mrsky::skyline

@@ -26,19 +26,50 @@
 // scan order is deterministic, so fixed operation sequences give fixed
 // counters and byte-identical skylines on every build.
 //
-// Counter policy: stats().dominance_tests counts every pairwise dominates()
-// evaluation (scalar semantics, deterministic for a fixed operation
-// sequence); promotions() counts dominees that re-entered the skyline when
-// their guard was deleted.
+// Layout: flat per-slot arrays, with no per-point allocation.
+//  * Slot s holds its coordinates (slot-major), its id and one pair of
+//    intrusive links. A parked slot's links thread it into a circular list of
+//    its guard's dominees; a member's own links are that list's head, so an
+//    empty list points at itself. Detaching is O(1), and demoting a member
+//    splices its whole list, then the member itself, onto the new member's
+//    list in O(1): dominees never record which member guards them.
+//  * id → slot is one open-addressing table (linear probing, power-of-two
+//    capacity, sized at the load, doubled when half full). Erase shifts the
+//    probe run back over the hole, leaving no tombstone, so a table under
+//    churn with fresh ids stays as large as the live set needs. Freed slots
+//    are reused.
+//  * The members sit in a TiledWindow (payload = slot) in scan order: a new
+//    member appends, and a removal compacts stably. Finding the guard is
+//    first_dominator (the head tile lane by lane, then the first set lane of
+//    dominators_in_block); finding the members a new one dominates reads
+//    compare_block's masks.
+//
+// Load contract: the bulk constructors place every row of `ps` through the
+// same logic as insert, the rows of the skyline F first, in ascending
+// coordinate sum, then every other row in input order. With an exact F every
+// other row parks at its first dominator in F and none can demote a member,
+// and the members with the smallest sums, which guard the most rows, lead
+// the scan. F is a hint for speed only: a partial or wrong F (ids of
+// dominated rows, or ids missing from `ps`) can cost tests but never the
+// result. Without one the constructor computes F with bnl_skyline.
+//
+// Counter policy: stats().dominance_tests charges what the scalar scan would
+// evaluate — members up to and including the first dominator when one
+// dominates, else every member once to look for a dominator and once more to
+// find the members the new one dominates — although the kernel tests eight
+// members at a time. The same operation sequence therefore charges the same
+// count on every build and kernel path; only the load order moves it.
+// promotions() counts dominees that re-entered the skyline when their guard
+// was deleted.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dataset/point_set.hpp"
 #include "src/skyline/dominance.hpp"
+#include "src/skyline/dominance_block.hpp"
 
 namespace mrsky::skyline {
 
@@ -47,9 +78,16 @@ class MaintainedSkyline {
   /// Empty structure over `dim`-dimensional points (dim >= 1).
   explicit MaintainedSkyline(std::size_t dim);
 
-  /// Bulk load: inserts every point of `ps` in order — O(n·|SKY|) dominance
-  /// tests. Duplicate ids are rejected (the structure is keyed by id).
+  /// Bulk load of every row of `ps`, computing its skyline F with
+  /// bnl_skyline to load first. Duplicate ids throw InvalidArgument (the
+  /// structure is keyed by id).
   explicit MaintainedSkyline(const data::PointSet& ps);
+
+  /// Bulk load of every row of `ps`, the rows whose ids `skyline_ids` lists
+  /// first (in ascending coordinate sum, ties in list order; a NaN sum sorts
+  /// last), then the rest in input order. Ids not in `ps`, and repeats, are
+  /// skipped. Duplicate ids in `ps` throw InvalidArgument.
+  MaintainedSkyline(const data::PointSet& ps, std::span<const data::PointId> skyline_ids);
 
   /// Offers a live point under `id` (must not be live already). Returns true
   /// iff it enters the skyline; skyline members it dominates are demoted
@@ -70,13 +108,13 @@ class MaintainedSkyline {
   /// (erased=false) — the caller decides whether that is an error.
   EraseResult erase(data::PointId id);
 
-  [[nodiscard]] bool contains(data::PointId id) const { return index_.count(id) != 0; }
+  [[nodiscard]] bool contains(data::PointId id) const { return find(id) != kNoSlot; }
   /// True iff `id` is live and currently a skyline member.
   [[nodiscard]] bool on_skyline(data::PointId id) const;
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
-  [[nodiscard]] std::size_t skyline_size() const noexcept { return skyline_slots_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  [[nodiscard]] std::size_t skyline_size() const noexcept { return members_.size(); }
 
   /// Canonical (ascending-id) copy of the current skyline.
   [[nodiscard]] data::PointSet skyline_points() const;
@@ -89,23 +127,36 @@ class MaintainedSkyline {
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  struct Node {
+  /// One id-table entry; slot == kNoSlot marks it empty.
+  struct IndexEntry {
     data::PointId id = 0;
-    std::uint32_t guard = kNoSlot;  ///< skyline slot guarding us (kNoSlot = on skyline)
-    std::uint32_t guard_pos = 0;    ///< our index in the guard's dominee list
-    bool skyline = false;
+    std::uint32_t slot = kNoSlot;
   };
 
   [[nodiscard]] std::span<const double> coords(std::uint32_t slot) const noexcept {
     return {coords_.data() + static_cast<std::size_t>(slot) * dim_, dim_};
   }
 
+  /// Slot of live `id`, or kNoSlot.
+  [[nodiscard]] std::uint32_t find(data::PointId id) const noexcept;
+  [[nodiscard]] std::size_t home(data::PointId id) const noexcept;
+  /// Empties the table and gives it the smallest power-of-two capacity that
+  /// keeps `rows` entries at most half full.
+  void reset_index(std::size_t rows);
+  /// Maps `id` to `slot`; false (and no change) when `id` is already live.
+  bool index_insert(data::PointId id, std::uint32_t slot);
+  /// Unmaps `id` and returns its slot (kNoSlot if it is not live), shifting
+  /// later entries of its probe run back over the hole.
+  std::uint32_t index_take(data::PointId id) noexcept;
+
   std::uint32_t alloc_slot(std::span<const double> c, data::PointId id);
-  void release_slot(std::uint32_t slot);
-  /// Parks `slot` in `guard`'s dominee list.
-  void attach(std::uint32_t slot, std::uint32_t guard);
-  /// Removes `slot` from its guard's dominee list (swap-remove, O(1)).
-  void detach(std::uint32_t slot);
+  /// Threads `slot` onto the tail of `guard`'s dominee list.
+  void park(std::uint32_t slot, std::uint32_t guard) noexcept;
+  /// Unthreads parked `slot` from its guard's list (O(1)).
+  void detach(std::uint32_t slot) noexcept;
+  /// Splices member `member`'s whole dominee list, then `member` itself,
+  /// onto `guard`'s list (O(1)).
+  void demote(std::uint32_t member, std::uint32_t guard) noexcept;
   /// Runs the insertion logic on an existing slot: park it under the first
   /// skyline dominator, or make it a skyline member, demoting (and absorbing
   /// the dominee lists of) every member it dominates. Returns true iff the
@@ -113,12 +164,17 @@ class MaintainedSkyline {
   bool raise(std::uint32_t slot);
 
   std::size_t dim_;
-  std::vector<double> coords_;                      ///< slot-major coordinates
-  std::vector<Node> nodes_;                         ///< one per slot
-  std::vector<std::vector<std::uint32_t>> dominees_;  ///< per-slot exclusive dominees
+  std::vector<double> coords_;          ///< slot-major coordinates
+  std::vector<data::PointId> ids_;      ///< per slot
+  std::vector<std::uint32_t> next_;     ///< per slot: intrusive list links
+  std::vector<std::uint32_t> prev_;
+  std::vector<std::uint8_t> member_;    ///< per slot: 1 iff a skyline member
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> skyline_slots_;  ///< deterministic scan order
-  std::unordered_map<data::PointId, std::uint32_t> index_;
+  TiledWindow members_;                 ///< members in scan order, payload = slot
+  std::vector<std::uint32_t> drops_;    ///< compact() scratch, one mask per tile
+  std::vector<IndexEntry> index_;       ///< id → slot, power-of-two capacity
+  unsigned index_shift_ = 0;            ///< 64 − log2(index_.size())
+  std::size_t live_ = 0;
   SkylineStats stats_;
   std::uint64_t promotions_ = 0;
 };

@@ -93,8 +93,7 @@ TEST(BlockStore, FooterCornersAreComponentwiseMinMax) {
     PointSet block(3);
     store.append_block_to(b, block);
     ASSERT_EQ(block.size(), store.rows_in_block(b));
-    const auto min = block.attribute_min();
-    const auto max = block.attribute_max();
+    const auto [min, max] = block.attribute_bounds();
     const auto stored_min = store.block_min(b);
     const auto stored_max = store.block_max(b);
     for (std::size_t a = 0; a < 3; ++a) {
@@ -409,6 +408,40 @@ TEST(DatasetSource, CsvSourceRefusesTooManyColumnsBeforeStaging) {
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("at most 1024 attributes"), std::string::npos)
         << e.what();
+  }
+  EXPECT_EQ(staged_files(), before);
+}
+
+// A constructor that throws after its writer opened the staged file leaves
+// no file behind: a strict-mode CSV with a bad last row, and a lenient one
+// whose every row is dropped.
+TEST(DatasetSource, CsvSourceThatThrowsWhileStagingLeavesNoFile) {
+  const std::string bad_last = temp_path("src_bad_last.csv");
+  const std::string unusable = temp_path("src_unusable.csv");
+  {
+    std::ofstream out(bad_last);
+    out << "a,b\n1.0,2.0\n3.0,4.0\n5.0,oops\n";
+  }
+  {
+    std::ofstream out(unusable);
+    out << "a,b\n1.0,oops\nbad,2.0\n";
+  }
+  const std::set<std::string> before = staged_files();
+  try {
+    const CsvSource source(bad_last);
+    ADD_FAILURE() << "a CSV with a bad last row was staged";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("oops"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(staged_files(), before);
+  CsvReadOptions lenient;
+  lenient.lenient = true;
+  ParseReport report;
+  try {
+    const CsvSource source(unusable, lenient, &report);
+    ADD_FAILURE() << "a CSV with no usable row was staged";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("no usable data rows"), std::string::npos) << e.what();
   }
   EXPECT_EQ(staged_files(), before);
 }

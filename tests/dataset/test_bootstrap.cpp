@@ -26,8 +26,7 @@ TEST(BootstrapResampler, StaysWithinSeedRanges) {
   BootstrapResampler resampler(seed, 0.2);
   common::Rng rng(2);
   const PointSet out = resampler.generate(5000, rng);
-  const auto lo = seed.attribute_min();
-  const auto hi = seed.attribute_max();
+  const auto [lo, hi] = seed.attribute_bounds();
   for (std::size_t i = 0; i < out.size(); ++i) {
     for (std::size_t a = 0; a < out.dim(); ++a) {
       EXPECT_GE(out.at(i, a), lo[a]);

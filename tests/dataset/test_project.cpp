@@ -73,7 +73,7 @@ TEST(Project, SingleAttributeSkylineIsTheMinimum) {
   const PointSet ps = generate(Distribution::kIndependent, 300, 3, 27);
   const std::vector<std::size_t> attrs = {1};
   const auto sky = skyline::bnl_skyline(project(ps, attrs));
-  const double min1 = ps.attribute_min()[1];
+  const double min1 = ps.attribute_bounds().lo[1];
   for (std::size_t i = 0; i < sky.size(); ++i) {
     EXPECT_DOUBLE_EQ(sky.at(i, 0), min1);
   }

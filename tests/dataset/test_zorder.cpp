@@ -28,8 +28,7 @@ std::vector<std::size_t> reference_zorder(const PointSet& ps) {
   std::vector<std::size_t> order(ps.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (ps.size() <= 1) return order;
-  const std::vector<double> lo = ps.attribute_min();
-  const std::vector<double> hi = ps.attribute_max();
+  const auto [lo, hi] = ps.attribute_bounds();
   const std::size_t dim = ps.dim();
   std::vector<std::uint32_t> q(ps.size() * dim);
   for (std::size_t i = 0; i < ps.size(); ++i) {

@@ -95,7 +95,7 @@ TEST(GridPartitioner, PrunableNeverContainsMinimalCell) {
   GridPartitioner p(8);
   p.fit(ps);
   // The cell containing the per-attribute minimum corner can never be pruned.
-  const auto mins = ps.attribute_min();
+  const auto mins = ps.attribute_bounds().lo;
   const std::size_t min_cell = p.assign(mins);
   for (std::size_t c : p.prunable_partitions()) EXPECT_NE(c, min_cell);
 }

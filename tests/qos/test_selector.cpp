@@ -121,6 +121,43 @@ TEST(SkylineServiceSelector, LoadTestsAreCountedApartFromEachWrite) {
   EXPECT_GT(selector.incremental_dominance_tests(), first);
 }
 
+// The first write loads the structure with the full run's skyline first;
+// through adds and removes (skyline members among them) the selector keeps
+// answering what a fresh MapReduce run over its catalog answers.
+TEST(SkylineServiceSelector, LoadFromTheRunSkylineMatchesAFreshRun) {
+  const ServiceCatalog all = ServiceCatalog::synthetic(700, 4, 61);
+  ServiceCatalog initial(all.schema());
+  for (std::size_t i = 0; i < 600; ++i) initial.add(all.services()[i]);
+  SkylineServiceSelector selector(std::move(initial), small_config());
+  (void)selector.skyline();
+  const auto fresh_run_ids = [&] {
+    const auto run = core::run_mr_skyline(selector.catalog().to_oriented_points(), small_config());
+    std::vector<data::PointId> ids(run.skyline.ids().begin(), run.skyline.ids().end());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const auto selector_ids = [&] {
+    std::vector<data::PointId> ids;
+    for (const auto& s : selector.skyline()) ids.push_back(s.id);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  for (std::size_t i = 600; i < 700; ++i) {
+    (void)selector.add_service(all.services()[i].name, all.services()[i].qos);
+    if (i % 4 == 0) {
+      ASSERT_TRUE(selector.remove_service(selector.skyline().front().id));
+    } else if (i % 4 == 1) {
+      const auto& live = selector.catalog().services();
+      ASSERT_TRUE(selector.remove_service(live[(i * 7) % live.size()].id));
+    }
+    if (i % 10 == 0) {
+      ASSERT_EQ(selector_ids(), fresh_run_ids()) << "after service " << i;
+    }
+  }
+  EXPECT_EQ(selector_ids(), fresh_run_ids());
+  EXPECT_GT(selector.load_dominance_tests(), 0u);
+}
+
 TEST(SkylineServiceSelector, EmptyCatalogThrowsOnQuery) {
   SkylineServiceSelector selector(ServiceCatalog(data::qws_schema(2)), small_config());
   EXPECT_THROW((void)selector.skyline(), mrsky::InvalidArgument);

@@ -7,9 +7,11 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/common/trace.hpp"
 #include "src/core/mr_skyline.hpp"
 #include "src/dataset/generators.hpp"
@@ -359,6 +361,53 @@ TEST(QueryEngine, FirstWriteOnDuplicateIdsThrowsAndChangesNothing) {
   EXPECT_EQ(engine.stats().apply_batches, 0u);
   EXPECT_EQ(engine.execute(service::SkylineQuery{}).points.size(),
             skyline::bnl_skyline(dup).size());
+}
+
+/// A count window evicts the oldest live arrivals. Rows deleted while the
+/// set stays under capacity leave stale entries in the arrival queue, which
+/// the engine drops once they outnumber the live rows; a burst over capacity
+/// afterwards must still evict exactly the oldest live arrivals.
+TEST(QueryEngine, CountWindowEvictsTheOldestLiveArrivalsAfterDeleteChurn) {
+  const data::PointSet initial = workload(40, 3, 81);
+  const data::PointSet fresh = workload(400, 3, 82);
+  service::QueryEngineOptions options;
+  options.window_capacity = 50;
+  service::QueryEngine engine(initial, options);
+  std::vector<data::PointId> arrivals(initial.ids().begin(), initial.ids().end());  // live only
+  common::Rng rng(83);
+  std::size_t row = 0;
+  const auto one_row = [&] {
+    data::PointSet batch(3);
+    batch.push_back(fresh.point(row++));
+    return batch;
+  };
+  for (int tick = 0; tick < 300; ++tick) {
+    service::MutationBatch batch;
+    batch.inserts = one_row();
+    const std::size_t victim = rng.uniform_index(arrivals.size());
+    batch.deletes.push_back(arrivals[victim]);
+    arrivals.erase(arrivals.begin() + static_cast<std::ptrdiff_t>(victim));
+    const service::ApplyResult r = engine.apply_batch(batch);
+    ASSERT_EQ(r.delta.deleted, 1u);
+    ASSERT_EQ(r.delta.expired, 0u);
+    arrivals.push_back(r.snapshot->dataset->ids().back());  // fresh ids sort last
+  }
+  ASSERT_EQ(engine.snapshot()->dataset->size(), 40u);
+
+  service::MutationBatch burst;
+  burst.inserts = data::PointSet(3);
+  for (int i = 0; i < 30; ++i) burst.inserts.push_back(fresh.point(row++));
+  const service::ApplyResult r = engine.apply_batch(burst);
+  EXPECT_EQ(r.delta.expired, 20u);
+  const std::span<const data::PointId> after = r.snapshot->dataset->ids();
+  ASSERT_EQ(after.size(), 50u);
+  // The 20 oldest live arrivals left; the other 20 and all 30 new rows stay.
+  std::vector<data::PointId> want(arrivals.begin() + 20, arrivals.end());
+  for (std::size_t i = after.size() - 30; i < after.size(); ++i) want.push_back(after[i]);
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(std::vector<data::PointId>(after.begin(), after.end()), want);
+  EXPECT_TRUE(bits_of(*r.snapshot->full_skyline) ==
+              bits_of(canonical(skyline::naive_skyline(*r.snapshot->dataset))));
 }
 
 /// The `topk_from` arg of every top-k `query` span, in order ("" if absent).

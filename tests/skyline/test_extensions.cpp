@@ -176,7 +176,7 @@ TEST(TopKWeighted, ExtremeWeightSelectsAxisMinimum) {
   const std::vector<double> weights = {1.0, 0.0};
   const auto ranked = top_k_weighted(ps, weights, 1);
   ASSERT_EQ(ranked.size(), 1u);
-  const double min0 = ps.attribute_min()[0];
+  const double min0 = ps.attribute_bounds().lo[0];
   EXPECT_DOUBLE_EQ(ranked[0].score, min0);
 }
 
