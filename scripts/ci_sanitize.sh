@@ -73,12 +73,17 @@ FILTER+=':SkylineServiceSelector*:RemoveService*'
 # threaded pipeline (map tasks touch disjoint blocks concurrently; the
 # verify-once checksum flags are the TSan target), the DatasetSource seam,
 # and the resident-vs-streamed differential sweep with spill enabled.
+# BlockStore* also matches the damaged-file loop, the crafted index files
+# and the word-wise checksum (BlockStoreFuzz, BlockStoreCrafted,
+# BlockStoreChecksum: ASan on every open-time bound).
 FILTER+=':BlockStore*:DatasetSource*:*OutOfCoreSweep*'
-# Bulk shuffle spill and the report from job 1's routing: the spill codec's
-# decode bounds on truncated and corrupted files (ASan/UBSan), the per-worker
-# span read buffers and the routing tallies under kThreads (TSan), and the
-# single-pass streamed reads.
-FILTER+=':ShuffleSpill*:RoutedRecords*:StreamedReads*:PipelineSpill*:*PartitionReportSweep*'
+# The row job the pipeline runs on, its raw-row spill and the report from
+# job 1's routing: span reads on truncated and removed files (ASan/UBSan),
+# concurrent bucket builds into per-bucket rows and the routing tallies under
+# kThreads (TSan), the single-pass streamed reads, and the sweep against the
+# record pipeline the row job replaced.
+FILTER+=':RowJob*:ShuffleSpill*:RoutedRecords*:StreamedReads*:PipelineSpill*'
+FILTER+=':*PartitionReportSweep*:*RowPipelineDifferential*'
 # MR-Angle's tangent-space sector lookup: the per-boundary bracket scans and
 # the atan2 fallback (ASan/UBSan), and the lookup's differential suite
 # against the atan2 oracle, plus the partitioner contracts around it.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -19,21 +18,15 @@
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
 #include "src/dataset/transforms.hpp"
+#include "src/mapreduce/row_job.hpp"
 #include "src/skyline/dominance_block.hpp"
 
 namespace mrsky::core {
 
 namespace {
 
-/// A point travelling through the shuffle: stable id + coordinates.
-struct PointRec {
-  data::PointId id = 0;
-  std::vector<double> coords;
-};
-
-/// Feeds a PointSet to the engine record-by-record without materialising a
-/// vector<KV> copy of the whole dataset: keys are the stable ids, values are
-/// zero-copy spans over the row-major storage.
+/// Feeds a PointSet to job 1's map row by row: keys are the stable ids,
+/// values are zero-copy spans over the row-major storage.
 struct PointSetInput {
   const data::PointSet* ps;
 
@@ -51,9 +44,9 @@ struct PointSetInput {
 /// contiguous row ranges, so in the common case each block is read once per
 /// pass (a retried task re-reads from its split start, which the
 /// binary-search fallback handles). The span returned by value() stays valid
-/// until the next key()/value() call on the same thread — the engine hands
-/// it straight to map_fn, which copies the coordinates into its PointRec,
-/// the same single-record lifetime PointSetInput's zero-copy spans rely on.
+/// until the next key()/value() call on the same thread — job 1's map reads
+/// the row's id first, then its coordinates, and copies them into its
+/// bucket before it asks for the next row.
 struct BlockInput {
   const data::DatasetSource* source = nullptr;
   std::vector<std::size_t> blocks;       ///< surviving block ids, ascending
@@ -153,83 +146,6 @@ bool dominated_by_representatives(const skyline::TiledWindow& reps, const double
   return false;
 }
 
-/// Rebuild a PointSet from shuffled records (shared by combine/reduce/merge).
-/// Returns a per-worker-thread scratch buffer reused across reduce groups and
-/// merge rounds, so group materialisation stops allocating per group; callers
-/// must be done with the previous group's view before asking for the next
-/// (every kernel below copies its survivors out via PointSet::select).
-data::PointSet& to_point_set(std::size_t dim, const std::vector<PointRec>& recs) {
-  thread_local data::PointSet scratch(1);
-  if (scratch.dim() != dim) scratch = data::PointSet(dim);
-  scratch.clear();
-  scratch.reserve(recs.size());
-  for (const auto& r : recs) scratch.push_back(r.coords, r.id);
-  return scratch;
-}
-
-/// Fixed-layout spill codec for the pipeline's intermediate records, used by
-/// both job 1 and every merge round (they share the KV<size_t, PointRec>
-/// shape): u64 key, u32 id, u64 coordinate count, raw doubles.
-constexpr std::size_t kSpillHeaderBytes =
-    sizeof(std::uint64_t) + sizeof(data::PointId) + sizeof(std::uint64_t);
-
-void spill_write_rec(std::vector<char>& out, const mr::KV<std::size_t, PointRec>& kv) {
-  const auto key = static_cast<std::uint64_t>(kv.key);
-  const auto count = static_cast<std::uint64_t>(kv.value.coords.size());
-  const std::size_t at = out.size();
-  out.resize(at + kSpillHeaderBytes + kv.value.coords.size() * sizeof(double));
-  char* p = out.data() + at;
-  std::memcpy(p, &key, sizeof(key));
-  p += sizeof(key);
-  std::memcpy(p, &kv.value.id, sizeof(kv.value.id));
-  p += sizeof(kv.value.id);
-  std::memcpy(p, &count, sizeof(count));
-  p += sizeof(count);
-  std::memcpy(p, kv.value.coords.data(), kv.value.coords.size() * sizeof(double));
-}
-
-/// Decodes one record from the front of `in` and advances past it. Every
-/// record of a pipeline carries exactly `dim` coordinates, so any other
-/// count is corruption; nothing is read before its bytes are known to be
-/// inside `in`.
-mr::KV<std::size_t, PointRec> spill_read_rec(std::span<const char>& in, std::size_t dim) {
-  if (in.size() < kSpillHeaderBytes) {
-    MRSKY_FAIL("truncated shuffle spill record: " + std::to_string(in.size()) +
-               " bytes left, header needs " + std::to_string(kSpillHeaderBytes));
-  }
-  std::uint64_t key = 0;
-  std::uint64_t count = 0;
-  mr::KV<std::size_t, PointRec> kv;
-  const char* p = in.data();
-  std::memcpy(&key, p, sizeof(key));
-  p += sizeof(key);
-  std::memcpy(&kv.value.id, p, sizeof(kv.value.id));
-  p += sizeof(kv.value.id);
-  std::memcpy(&count, p, sizeof(count));
-  p += sizeof(count);
-  if (count != dim) {
-    MRSKY_FAIL("corrupt shuffle spill record: coordinate count " + std::to_string(count) +
-               ", expected " + std::to_string(dim));
-  }
-  const std::size_t payload = dim * sizeof(double);
-  if (in.size() - kSpillHeaderBytes < payload) {
-    MRSKY_FAIL("truncated shuffle spill record: " + std::to_string(in.size()) +
-               " bytes left, record needs " + std::to_string(kSpillHeaderBytes + payload));
-  }
-  kv.key = static_cast<std::size_t>(key);
-  kv.value.coords.resize(dim);
-  std::memcpy(kv.value.coords.data(), p, payload);
-  in = in.subspan(kSpillHeaderBytes + payload);
-  return kv;
-}
-
-/// The spill codec of every job in one pipeline run.
-template <typename Job>
-void set_spill_codec(Job& job, std::size_t dim) {
-  job.spill_codec.write = spill_write_rec;
-  job.spill_codec.read = [dim](std::span<const char>& in) { return spill_read_rec(in, dim); };
-}
-
 void throw_if_invalid(const std::vector<std::string>& errors) {
   if (errors.empty()) return;
   std::string message = "invalid MRSkylineConfig (" + std::to_string(errors.size()) +
@@ -310,23 +226,18 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
   };
 
   // --- Job 1: partition + local skyline (Algorithm 1, lines 1-10). ---
-  using Job1 = mr::JobConfig<data::PointId, std::span<const double>, std::size_t, PointRec,
-                             std::size_t, PointRec>;
-  Job1 job1;
+  mr::RowJobConfig job1;
   job1.name = "partition-local-skyline";
   job1.num_map_tasks = config.effective_map_tasks();
-  job1.num_reduce_tasks = total_keys;
   // One reduce task per partition key: the identity routing makes reduce-task
   // metrics per-partition, which the cluster simulator load-balances.
-  job1.partition_fn = [](const std::size_t& key, std::size_t buckets) { return key % buckets; };
-  job1.value_bytes_fn = [](const PointRec& rec) {
-    return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
-  };
-  set_spill_codec(job1, dim);
+  job1.num_reduce_tasks = total_keys;
+  job1.dim = dim;
 
-  job1.map_fn = [&part_ref, &salt, &key_base, representatives, dim](
-                    const data::PointId& id, const std::span<const double>& coords,
-                    mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+  job1.map_fn = [&input_view, &part_ref, &salt, &key_base, representatives, dim](
+                    std::size_t row, mr::RowEmitter& out, mr::TaskContext& ctx) {
+    const data::PointId id = input_view.key(row);
+    const std::span<const double> coords = input_view.value(row);
     // The representative tiles are read-only, so concurrent map tasks share
     // them.
     if (representatives != nullptr) {
@@ -348,7 +259,7 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
       h ^= h >> 27;
       key += static_cast<std::size_t>(h % salt[p]);
     }
-    out.emit(key, PointRec{id, {coords.begin(), coords.end()}});
+    out.emit(key, coords, id);
   };
 
   // The same local-skyline body serves as combiner and reducer, but each
@@ -356,41 +267,38 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
   // the reduce-side pass, so it equals the sum of the per-partition local
   // skyline sizes whether or not the combiner is enabled (the combine-side
   // pre-filter shows up as `skyline.combine_points` instead).
-  auto make_local_skyline_fn = [&, dim](const char* emitted_counter) {
-    return [&, dim, emitted_counter](const std::size_t& key, std::vector<PointRec>& values,
-                                     mr::Emitter<std::size_t, PointRec>& out,
-                                     mr::TaskContext& ctx) {
+  auto make_local_skyline_fn = [&](const char* emitted_counter) {
+    return [&, emitted_counter](std::size_t key, const data::PointSet& rows,
+                                mr::TaskContext& ctx) -> data::PointSet {
       const std::size_t partition_id = key_to_partition[key];
       common::ScopedSpan span(trace, "local-skyline", "skyline");
       span.arg("partition", partition_id);
       span.arg("key", key);
-      span.arg("points_in", values.size());
+      span.arg("points_in", rows.size());
       if (pruned.contains(partition_id)) {
         // §III-B: the whole cell is dominated — skip its local skyline.
-        ctx.increment("skyline.points_pruned", values.size());
+        ctx.increment("skyline.points_pruned", rows.size());
         span.arg("pruned", 1);
-        return;
+        return data::PointSet(rows.dim());
       }
       skyline::SkylineStats stats;
-      const data::PointSet local = kernel(to_point_set(dim, values), &stats);
+      data::PointSet local = kernel(rows, &stats);
       ctx.charge_work(stats.dominance_tests);
       ctx.increment(emitted_counter, local.size());
       span.arg("skyline_points", local.size());
       span.arg("dominance_tests", stats.dominance_tests);
-      for (std::size_t i = 0; i < local.size(); ++i) {
-        out.emit(key, PointRec{local.id(i), {local.point(i).begin(), local.point(i).end()}});
-      }
+      return local;
     };
   };
   if (config.use_combiner) job1.combine_fn = make_local_skyline_fn("skyline.combine_points");
   job1.reduce_fn = make_local_skyline_fn("skyline.local_points");
 
   // Cooperative cancellation polls at pipeline split boundaries: before the
-  // partition/local-skyline job and before every merge round. run_job polls
-  // again inside each phase, so a stopping pipeline unwinds within one task
-  // stride wherever it happens to be.
+  // partition/local-skyline job and before every merge round. The row job
+  // polls again inside each phase, so a stopping pipeline unwinds within one
+  // task stride wherever it happens to be.
   run_opts.cancel.throw_if_stopped("partition/local-skyline job");
-  auto job1_result = mr::run_job(job1, input_view, run_opts);
+  auto job1_result = mr::run_row_job(job1, input_view.size(), run_opts);
   result.partition_job = std::move(job1_result.metrics);
 
   // The partition report: job 1 routed key k to reduce bucket k, and every
@@ -401,10 +309,12 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
   }
   result.partition_report = part::report_from_sizes(part_ref, std::move(partition_sizes));
 
-  // Collect per-partition local skylines ("file st" in Algorithm 1).
+  // Collect per-partition local skylines ("file st" in Algorithm 1): reduce
+  // task k's output is key k's local skyline.
   result.local_skylines.assign(partitions, data::PointSet(dim));
-  for (const auto& kv : job1_result.output) {
-    result.local_skylines[key_to_partition[kv.key]].push_back(kv.value.coords, kv.value.id);
+  for (std::size_t k = 0; k < total_keys; ++k) {
+    const data::PointSet& local = job1_result.output[k];
+    result.local_skylines[key_to_partition[k]].append_rows(local.raw(), local.ids());
   }
 
   // --- Merge stage (Algorithm 1, lines 11-16). ---
@@ -413,14 +323,10 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
   // MapReduce job. With merge_fan_in == 0 there is exactly one round with a
   // single group — the paper's null-key single-reducer merge. With
   // merge_fan_in >= 2 groups shrink by that factor per round (tree merge).
-  using MergeJob =
-      mr::JobConfig<std::size_t, PointRec, std::size_t, PointRec, std::size_t, PointRec>;
+  // A round's input is the previous job's output in reduce-task order; the
+  // rows of task g belong to group g.
   const std::size_t fan_in = config.merge_fan_in;
-
-  std::vector<mr::KV<std::size_t, PointRec>> merge_input;
-  merge_input.reserve(job1_result.output.size());
-  for (auto& kv : job1_result.output) merge_input.push_back(std::move(kv));
-
+  std::vector<data::PointSet> group_rows = std::move(job1_result.output);
   std::size_t groups = total_keys;
   std::size_t round = 0;
   for (;;) {
@@ -429,52 +335,46 @@ void run_pipeline(const Input& input_view, std::size_t dim, const part::Partitio
         ("merge round " + std::to_string(round)).c_str());
     const std::size_t next_groups =
         fan_in == 0 ? 1 : (groups + fan_in - 1) / fan_in;
-    MergeJob job;
+    data::PointSet merge_input(dim);
+    std::vector<std::size_t> group_of;
+    for (std::size_t g = 0; g < group_rows.size(); ++g) {
+      merge_input.append_rows(group_rows[g].raw(), group_rows[g].ids());
+      group_of.insert(group_of.end(), group_rows[g].size(), g);
+    }
+    mr::RowJobConfig job;
     job.name = "merge-round-" + std::to_string(round);
     job.num_map_tasks = config.effective_map_tasks();
     job.num_reduce_tasks = next_groups;
-    job.partition_fn = [](const std::size_t& key, std::size_t buckets) { return key % buckets; };
-    job.value_bytes_fn = [](const PointRec& rec) {
-      return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
-    };
-    set_spill_codec(job, dim);
-    job.map_fn = [fan_in](const std::size_t& group, const PointRec& rec,
-                          mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+    job.dim = dim;
+    job.map_fn = [&merge_input, &group_of, fan_in](std::size_t row, mr::RowEmitter& out,
+                                                   mr::TaskContext& ctx) {
       ctx.charge_work(1);
-      out.emit(fan_in == 0 ? 0 : group / fan_in, rec);  // output(null/group, si)
+      // output(null/group, si)
+      out.emit(fan_in == 0 ? 0 : group_of[row] / fan_in, merge_input.point(row),
+               merge_input.id(row));
     };
-    job.reduce_fn = [&kernel, dim, trace](const std::size_t& group, std::vector<PointRec>& values,
-                                          mr::Emitter<std::size_t, PointRec>& out,
-                                          mr::TaskContext& ctx) {
+    job.reduce_fn = [&kernel, trace](std::size_t group, const data::PointSet& rows,
+                                     mr::TaskContext& ctx) -> data::PointSet {
       common::ScopedSpan span(trace, "merge-skyline", "skyline");
       span.arg("group", group);
-      span.arg("points_in", values.size());
+      span.arg("points_in", rows.size());
       skyline::SkylineStats stats;
-      const data::PointSet merged =
-          kernel(to_point_set(dim, values), &stats);
+      data::PointSet merged = kernel(rows, &stats);
       ctx.charge_work(stats.dominance_tests);
       ctx.increment("skyline.merged_points", merged.size());
       span.arg("skyline_points", merged.size());
       span.arg("dominance_tests", stats.dominance_tests);
-      for (std::size_t i = 0; i < merged.size(); ++i) {
-        out.emit(group, PointRec{merged.id(i),
-                                 {merged.point(i).begin(), merged.point(i).end()}});
-      }
+      return merged;
     };
 
-    auto merge_result = mr::run_job(job, merge_input, run_opts);
-    result.merge_rounds.push_back(merge_result.metrics);
+    auto merge_result = mr::run_row_job(job, merge_input.size(), run_opts);
+    result.merge_rounds.push_back(std::move(merge_result.metrics));
     groups = next_groups;
     if (groups <= 1) {
-      data::PointSet skyline(dim);
-      skyline.reserve(merge_result.output.size());
-      for (const auto& kv : merge_result.output) {
-        skyline.push_back(kv.value.coords, kv.value.id);
-      }
-      result.skyline = std::move(skyline);
+      result.skyline = std::move(merge_result.output.front());
       break;
     }
-    merge_input = std::move(merge_result.output);
+    group_rows = std::move(merge_result.output);
   }
 }
 

@@ -60,9 +60,8 @@ struct BlockStoreWriter::Impl {
   // Pending rows, row-major, plus their ids.
   std::vector<double> pending_coords;
   std::vector<PointId> pending_ids;
-  // Scratch for the tile transpose (reused across blocks).
-  std::vector<double> tiles;
-  std::vector<std::uint32_t> padded_ids;
+  // One block's payload, tiles then padded ids (reused across blocks).
+  std::vector<double> payload;
   std::vector<FooterEntry> index;
 };
 
@@ -139,16 +138,24 @@ void BlockStoreWriter::flush_block() {
 
   // Transpose row-major pending rows into attribute-major tiles, padding dead
   // lanes with +inf so they die on the first attribute of any dominance scan.
+  // The ids follow the tiles, zero-padded, so the payload is one buffer: one
+  // checksum pass and one write.
   const std::size_t tiles = blockfmt::tiles_for(rows);
-  impl_->tiles.assign(tiles * dim_ * blockfmt::kTileLanes,
-                      std::numeric_limits<double>::infinity());
+  const std::size_t tile_bytes = blockfmt::tile_bytes(rows, dim_);
+  const std::size_t payload_bytes = blockfmt::payload_bytes(rows, dim_);
+  std::vector<double>& buffer = impl_->payload;
+  buffer.resize(payload_bytes / sizeof(double));
+  const auto tile_end = buffer.begin() + static_cast<std::ptrdiff_t>(tiles * dim_ *
+                                                                     blockfmt::kTileLanes);
+  std::fill(buffer.begin(), tile_end, std::numeric_limits<double>::infinity());
+  std::fill(tile_end, buffer.end(), 0.0);  // the id region's padding stays zero bits
   Impl::FooterEntry entry;
   entry.rows = rows;
   entry.min_corner.assign(dim_, std::numeric_limits<double>::infinity());
   entry.max_corner.assign(dim_, -std::numeric_limits<double>::infinity());
   for (std::size_t r = 0; r < rows; ++r) {
     const double* src = impl_->pending_coords.data() + r * dim_;
-    double* tile = impl_->tiles.data() + (r / blockfmt::kTileLanes) * dim_ * blockfmt::kTileLanes;
+    double* tile = buffer.data() + (r / blockfmt::kTileLanes) * dim_ * blockfmt::kTileLanes;
     const std::size_t lane = r % blockfmt::kTileLanes;
     for (std::size_t a = 0; a < dim_; ++a) {
       const double v = src[a];
@@ -157,19 +164,13 @@ void BlockStoreWriter::flush_block() {
       entry.max_corner[a] = std::max(entry.max_corner[a], v);
     }
   }
-  impl_->padded_ids.assign(blockfmt::id_bytes(rows) / sizeof(std::uint32_t), 0);
-  std::copy(impl_->pending_ids.begin(), impl_->pending_ids.end(), impl_->padded_ids.begin());
+  char* const payload = reinterpret_cast<char*>(buffer.data());
+  std::memcpy(payload + tile_bytes, impl_->pending_ids.data(), rows * sizeof(PointId));
 
   entry.offset = static_cast<std::uint64_t>(file.tellp());
-  entry.payload_bytes = blockfmt::payload_bytes(rows, dim_);
-  const std::size_t tile_bytes = blockfmt::tile_bytes(rows, dim_);
-  entry.checksum = blockfmt::fnv1a(impl_->tiles.data(), tile_bytes);
-  entry.checksum = blockfmt::fnv1a(impl_->padded_ids.data(), blockfmt::id_bytes(rows),
-                                   entry.checksum);
-  file.write(reinterpret_cast<const char*>(impl_->tiles.data()),
-             static_cast<std::streamsize>(tile_bytes));
-  file.write(reinterpret_cast<const char*>(impl_->padded_ids.data()),
-             static_cast<std::streamsize>(blockfmt::id_bytes(rows)));
+  entry.payload_bytes = payload_bytes;
+  entry.checksum = blockfmt::checksum(payload, payload_bytes);
+  file.write(payload, static_cast<std::streamsize>(payload_bytes));
   impl_->index.push_back(std::move(entry));
 
   impl_->pending_coords.clear();
@@ -205,7 +206,7 @@ void BlockStoreWriter::close() {
 
   file.write(footer.data(), static_cast<std::streamsize>(footer.size()));
   write_pod(file, footer_offset);
-  write_pod(file, blockfmt::fnv1a(footer.data(), footer.size()));
+  write_pod(file, blockfmt::checksum(footer.data(), footer.size()));
   file.write(blockfmt::kTrailerMagic, sizeof(blockfmt::kTrailerMagic));
   file.flush();
   if (!file) MRSKY_FAIL("block store write failed on close: " + impl_->path);
@@ -241,15 +242,22 @@ BlockStore::BlockStore(const std::string& path) : path_(path) {
   // kernel so readahead works for us instead of against the RSS budget.
   ::madvise(const_cast<unsigned char*>(map_), file_bytes_, MADV_SEQUENTIAL);
 
-  // Cleanup that must run on any validation failure below.
-  auto fail = [this, &path](const std::string& what) {
+  // Any failure below — a typed refusal or an allocation that throws —
+  // unmaps and closes before it propagates: a throwing constructor never
+  // runs the destructor.
+  try {
+    parse_index();
+  } catch (...) {
     ::munmap(const_cast<unsigned char*>(map_), file_bytes_);
     ::close(fd_);
     map_ = nullptr;
     fd_ = -1;
-    fail_open(path, what);
-  };
+    throw;
+  }
+}
 
+void BlockStore::parse_index() {
+  const auto fail = [this](const std::string& what) { fail_open(path_, what); };
   if (std::memcmp(map_, blockfmt::kHeaderMagic, sizeof(blockfmt::kHeaderMagic)) != 0) {
     fail("not a block store (bad header magic)");
   }
@@ -276,17 +284,26 @@ BlockStore::BlockStore(const std::string& path) : path_(path) {
   const unsigned char* footer = map_ + footer_offset;
   const std::size_t footer_size =
       static_cast<std::size_t>(file_bytes_ - blockfmt::kTrailerBytes - footer_offset);
-  if (blockfmt::fnv1a(footer, footer_size) != footer_checksum) {
+  if (blockfmt::checksum(footer, footer_size) != footer_checksum) {
     fail("footer checksum mismatch (corrupted index?)");
   }
 
   // Footer contents are checksum-clean; parse with size checks anyway so a
-  // colliding corruption still cannot walk off the mapping.
+  // colliding corruption, or a crafted file with a recomputed checksum,
+  // still cannot walk off the mapping. No check below forms a sum or a
+  // product that could wrap: the count is bounded by the footer's size
+  // before it is multiplied, and each payload range is compared by
+  // difference.
+  const std::size_t entry_bytes = blockfmt::index_entry_bytes(dim_);
+  constexpr std::size_t kCountAndTotal = 2 * sizeof(std::uint64_t);
+  if (footer_size < kCountAndTotal) fail("footer size disagrees with block count");
   const auto block_count = load_pod<std::uint64_t>(footer);
-  const std::size_t expected =
-      sizeof(std::uint64_t) * 2 +
-      static_cast<std::size_t>(block_count) * blockfmt::index_entry_bytes(dim_);
-  if (footer_size != expected) fail("footer size disagrees with block count");
+  if (block_count > (footer_size - kCountAndTotal) / entry_bytes ||
+      footer_size != kCountAndTotal + static_cast<std::size_t>(block_count) * entry_bytes) {
+    fail("footer size disagrees with block count");
+  }
+  // Every row takes at least its coordinates and its id from the payload.
+  const std::uint64_t max_rows = footer_offset / (dim_ * sizeof(double) + sizeof(PointId));
   const unsigned char* p = footer + sizeof(std::uint64_t);
   index_.resize(static_cast<std::size_t>(block_count));
   for (auto& entry : index_) {
@@ -301,16 +318,18 @@ BlockStore::BlockStore(const std::string& path) : path_(path) {
     p += dim_ * sizeof(double);
     std::memcpy(entry.max_corner.data(), p, dim_ * sizeof(double));
     p += dim_ * sizeof(double);
-    if (entry.rows == 0 || entry.rows > block_rows_) {
+    if (entry.rows == 0 || entry.rows > block_rows_ || entry.rows > max_rows) {
       fail("index entry with implausible row count");
     }
     if (entry.payload_bytes != blockfmt::payload_bytes(entry.rows, dim_)) {
       fail("index entry payload size disagrees with row count");
     }
-    if (entry.offset < blockfmt::kHeaderBytes ||
-        entry.offset + entry.payload_bytes > footer_offset) {
+    if (entry.offset < blockfmt::kHeaderBytes || entry.offset > footer_offset ||
+        entry.payload_bytes > footer_offset - entry.offset) {
       fail("index entry points outside the block region");
     }
+    // block() reads the payload as doubles in place.
+    if (entry.offset % sizeof(double) != 0) fail("index entry offset is not 8-byte aligned");
     total_rows_ += static_cast<std::size_t>(entry.rows);
   }
   const auto recorded_total = load_pod<std::uint64_t>(p);
@@ -360,7 +379,7 @@ void BlockStore::verify_block(std::size_t b) const {
   check_block_index(b);
   const IndexEntry& entry = index_[b];
   const unsigned char* payload = map_ + entry.offset;
-  if (blockfmt::fnv1a(payload, static_cast<std::size_t>(entry.payload_bytes)) !=
+  if (blockfmt::checksum(payload, static_cast<std::size_t>(entry.payload_bytes)) !=
       entry.checksum) {
     MRSKY_FAIL("block store " + path_ + ": block " + std::to_string(b) +
                " checksum mismatch (corrupted file?)");

@@ -166,6 +166,9 @@ class BlockStore {
   };
 
   void check_block_index(std::size_t b) const;
+  /// Validates the header, trailer and footer of the mapped file and fills
+  /// the index; throws mrsky::RuntimeError on the first problem.
+  void parse_index();
 
   std::string path_;
   int fd_ = -1;

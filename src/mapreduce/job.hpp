@@ -23,6 +23,10 @@
 //   recorded as JobMetrics::shuffle_ns.
 // * Each reduce task applies `reduce_fn` once per key group.
 //
+// The skyline pipeline's jobs run on row_job.hpp instead: the same model and
+// this file's attempt loop, splits and pool, for records that are points kept
+// as flat rows. Only row jobs spill (RunOptions::shuffle_spill_bytes).
+//
 // Execution is sequential or thread-pooled (ExecutionMode). Under kThreads
 // the engine either borrows the caller's persistent RunOptions::pool (reused
 // across jobs — run_mr_skyline threads one pool through job 1 and every
@@ -45,18 +49,12 @@
 // lives in the cluster simulator.
 #pragma once
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <concepts>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,17 +119,17 @@ struct RunOptions {
   /// site is a single pointer test.
   common::TraceRecorder* trace = nullptr;
 
-  /// Shuffle spill budget in bytes; 0 disables spilling. When a job also
-  /// supplies a JobConfig::spill_codec, a map task whose scattered shard
-  /// volume projects the job past this budget (task bytes × map tasks >
-  /// budget — a per-task-local, scheduling-independent test) writes its
-  /// shards to a temporary spill file in bulk — one write per reduce bucket,
-  /// or per 32 KiB of a larger one — freeing each shard as soon as it is
-  /// written; each reduce task reads every map task's span of its bucket
-  /// back with one read and decodes it in memory, in map-task order. Output
-  /// content and order are exactly what the in-memory shuffle produces —
-  /// spilling is purely a memory/IO trade, accounted in
-  /// JobMetrics::shuffle_spilled_bytes / shuffle_spill_files.
+  /// Shuffle spill budget in bytes; 0 disables spilling. Only row jobs
+  /// (row_job.hpp, the skyline pipeline's jobs) spill; run_job keeps its
+  /// shuffle in memory. A map task whose shuffle volume projects the job
+  /// past this budget (task bytes × map tasks > budget — a per-task-local,
+  /// scheduling-independent test) writes each reduce bucket's rows to a
+  /// temporary spill file as raw coordinate and id bytes, one write per
+  /// bucket, freeing each bucket as soon as it is written. Each reduce task
+  /// then reads every map task's span of its bucket back with one read, in
+  /// map-task order. Output content and order are exactly what the
+  /// in-memory shuffle produces — spilling is purely a memory/IO trade,
+  /// accounted in JobMetrics::shuffle_spilled_bytes / shuffle_spill_files.
   std::uint64_t shuffle_spill_bytes = 0;
   /// Directory for spill files; empty = std::filesystem::temp_directory_path().
   std::string spill_dir;
@@ -153,13 +151,6 @@ struct RunOptions {
 inline constexpr std::size_t kCancelPollStride = 1024;
 
 namespace detail {
-
-/// A spilling map task writes its encoded records once per reduce bucket,
-/// or once per this many bytes of a larger bucket. Capping the encode buffer
-/// (instead of growing it to the largest bucket) keeps it well under glibc's
-/// mmap threshold: buffers that are mmapped and freed raise that threshold,
-/// and with it the heap's resident high-water mark.
-inline constexpr std::size_t kSpillWriteChunk = 32 * 1024;
 
 /// Deterministic attempt-failure decision (splitmix-style avalanche).
 inline bool attempt_fails(const RunOptions& opts, const std::string& job, int phase,
@@ -350,6 +341,25 @@ TaskAttemptOutcome run_task_attempts(const RunOptions& opts, const std::string& 
   }
 }
 
+/// Records what a finished task cost — its context's work and counters, its
+/// attempt outcome and its wall time — on its metrics and its span. The
+/// caller has set records_in and records_out.
+inline void finish_task(TaskMetrics& m, const TaskContext& ctx, TaskAttemptOutcome&& outcome,
+                        std::int64_t wall_ns, common::ScopedSpan& span) {
+  m.work_units = ctx.work_units();
+  m.wall_ns = wall_ns;
+  m.attempts = outcome.attempts;
+  m.records_skipped = outcome.records_skipped;
+  m.wasted_records = outcome.wasted_records;
+  m.wasted_work_units = outcome.wasted_work_units;
+  m.failure_events = std::move(outcome.events);
+  m.counters = ctx.counters();
+  span.arg("records_in", m.records_in);
+  span.arg("records_out", m.records_out);
+  span.arg("attempts", m.attempts);
+  if (m.wasted_records > 0) span.arg("wasted_records", m.wasted_records);
+}
+
 /// The pool one engine call runs on: the caller's persistent RunOptions::pool
 /// when provided, else a private pool created once per call (not once per
 /// phase) and destroyed on return. Sequential mode never creates a pool and
@@ -420,20 +430,6 @@ struct JobConfig {
   PartitionFn partition_fn;
   /// Approximate payload size of a shuffled value; default sizeof(MidV).
   ValueBytesFn value_bytes_fn;
-
-  /// Serializer pair for mid records, enabling shuffle spill under
-  /// RunOptions::shuffle_spill_bytes. `write` appends one record's bytes to
-  /// a buffer; `read` decodes one record from the front of `in` and advances
-  /// `in` past it. `read` must be the exact inverse of `write` (the engine
-  /// round-trips records through it verbatim), and must throw
-  /// mrsky::RuntimeError rather than read past the end of `in` when the
-  /// bytes are short or malformed. Jobs without a codec never spill,
-  /// whatever the budget.
-  struct SpillCodec {
-    std::function<void(std::vector<char>& out, const KV<MidK, MidV>&)> write;
-    std::function<KV<MidK, MidV>(std::span<const char>& in)> read;
-  };
-  SpillCodec spill_codec;
 };
 
 template <typename OutK, typename OutV>
@@ -545,18 +541,7 @@ JobResult<OutK, OutV> run_map_only(const MapOnlyConfig<InK, InV, OutK, OutV>& co
     auto& m = result.metrics.map_tasks[t];
     m.records_in = offsets[t + 1] - offsets[t];
     m.records_out = outputs[t].size();
-    m.work_units = ctx.work_units();
-    m.wall_ns = timer.elapsed_ns();
-    m.attempts = outcome.attempts;
-    m.records_skipped = outcome.records_skipped;
-    m.wasted_records = outcome.wasted_records;
-    m.wasted_work_units = outcome.wasted_work_units;
-    m.failure_events = std::move(outcome.events);
-    m.counters = ctx.counters();
-    task_span.arg("records_in", m.records_in);
-    task_span.arg("records_out", m.records_out);
-    task_span.arg("attempts", m.attempts);
-    if (m.wasted_records > 0) task_span.arg("wasted_records", m.wasted_records);
+    detail::finish_task(m, ctx, std::move(outcome), timer.elapsed_ns(), task_span);
   });
 
   std::size_t total_out = 0;
@@ -624,34 +609,6 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
   std::vector<std::uint64_t> task_shuffle_bytes(num_maps, 0);
   std::vector<std::atomic<std::uint64_t>> routed(num_reduces);
 
-  // ---- Shuffle spill bookkeeping (RunOptions::shuffle_spill_bytes). A map
-  // task that spills records where each bucket's bytes start in its file
-  // and how many records they encode; the shuffle reads each span back with
-  // one read. This index lives for the whole job (map tasks × reduce
-  // buckets entries), so it stays at two words per span. ----
-  const bool spill_enabled = opts.shuffle_spill_bytes > 0 &&
-                             static_cast<bool>(config.spill_codec.write) &&
-                             static_cast<bool>(config.spill_codec.read);
-  struct SpillFile {
-    std::string path;
-    /// num_reduces + 1 offsets: bucket b's span is [offsets[b], offsets[b + 1]).
-    std::vector<std::uint64_t> offsets;
-    std::vector<std::uint64_t> records;  ///< per bucket
-    [[nodiscard]] std::uint64_t bytes() const { return offsets.empty() ? 0 : offsets.back(); }
-  };
-  std::vector<SpillFile> spills(spill_enabled ? num_maps : 0);
-  // Spill files are engine-internal temporaries: removed on every exit path,
-  // cancellation unwinds included.
-  struct SpillCleanup {
-    std::vector<SpillFile>* files;
-    ~SpillCleanup() {
-      if (files == nullptr) return;
-      for (const auto& f : *files) {
-        if (!f.path.empty()) std::remove(f.path.c_str());
-      }
-    }
-  } spill_cleanup{spill_enabled ? &spills : nullptr};
-
   detail::for_each_task(num_maps, pool.get(), [&](std::size_t t) {
     common::ScopedSpan task_span(opts.trace, "map", "task");
     task_span.arg("job", config.name);
@@ -703,145 +660,41 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
       const std::uint64_t count = config.combine_fn ? combined_routed[b] : task_shards[b].size();
       if (count > 0) routed[b].fetch_add(count, std::memory_order_relaxed);
     }
-    if (spill_enabled && task_shuffle_bytes[t] * num_maps > opts.shuffle_spill_bytes) {
-      // This task's share projects the job past the budget: persist the
-      // shards bucket-by-bucket — encoded into one reused buffer, written
-      // with one call per bucket (per kSpillWriteChunk of a larger bucket)
-      // — and free each shard as soon as it is on disk. The decision is a
-      // pure function of the task's own output, so it is identical under
-      // kSequential and kThreads.
-      common::ScopedSpan spill_span(opts.trace, "spill", "shuffle");
-      spill_span.arg("task", t);
-      static std::atomic<std::uint64_t> spill_counter{0};
-      const auto dir = opts.spill_dir.empty() ? std::filesystem::temp_directory_path()
-                                              : std::filesystem::path(opts.spill_dir);
-      auto& spill = spills[t];
-      spill.path = (dir / ("mrsky-spill-" + std::to_string(::getpid()) + "-" +
-                           std::to_string(spill_counter.fetch_add(
-                               1, std::memory_order_relaxed)) +
-                           "-" + std::to_string(t) + ".tmp"))
-                       .string();
-      std::ofstream out(spill.path, std::ios::binary | std::ios::trunc);
-      if (!out) MRSKY_FAIL("cannot open shuffle spill file: " + spill.path);
-      spill.offsets.reserve(num_reduces + 1);
-      spill.offsets.push_back(0);
-      spill.records.reserve(num_reduces);
-      std::vector<char> encoded;
-      encoded.reserve(2 * detail::kSpillWriteChunk);
-      std::uint64_t written = 0;
-      const auto flush = [&] {
-        if (!out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()))) {
-          MRSKY_FAIL("shuffle spill write failed: " + spill.path);
-        }
-        written += encoded.size();
-        encoded.clear();
-      };
-      for (std::size_t b = 0; b < num_reduces; ++b) {
-        auto& shard = task_shards[b];
-        for (const auto& record : shard) {
-          config.spill_codec.write(encoded, record);
-          if (encoded.size() >= detail::kSpillWriteChunk) flush();
-        }
-        if (!encoded.empty()) flush();
-        spill.offsets.push_back(written);
-        spill.records.push_back(shard.size());
-        std::vector<KV<MidK, MidV>>().swap(shard);
-      }
-      out.close();
-      if (!out) MRSKY_FAIL("shuffle spill write failed: " + spill.path);
-      std::vector<std::vector<KV<MidK, MidV>>>().swap(task_shards);
-      spill_span.arg("bytes", spill.bytes());
-    }
-    m.work_units = ctx.work_units();
-    m.wall_ns = timer.elapsed_ns();
-    m.attempts = outcome.attempts;
-    m.records_skipped = outcome.records_skipped;
-    m.wasted_records = outcome.wasted_records;
-    m.wasted_work_units = outcome.wasted_work_units;
-    m.failure_events = std::move(outcome.events);
-    m.counters = ctx.counters();
-    task_span.arg("records_in", m.records_in);
-    task_span.arg("records_out", m.records_out);
-    task_span.arg("attempts", m.attempts);
-    if (m.wasted_records > 0) task_span.arg("wasted_records", m.wasted_records);
+    detail::finish_task(m, ctx, std::move(outcome), timer.elapsed_ns(), task_span);
   });
   for (std::size_t t = 0; t < num_maps; ++t) {
     result.metrics.shuffle_records += task_shuffle_records[t];
     result.metrics.shuffle_bytes += task_shuffle_bytes[t];
-    if (spill_enabled && !spills[t].path.empty()) {
-      result.metrics.shuffle_spilled_bytes += spills[t].bytes();
-      result.metrics.shuffle_spill_files += 1;
-    }
   }
   result.metrics.routed_records.reserve(num_reduces);
   for (const auto& count : routed) result.metrics.routed_records.push_back(count.load());
 
   // ---- Shuffle: build each reduce bucket by concatenating the map tasks'
   // shards in map-task order — the exact sequence a sequential scatter
-  // produces, so grouping and output stay identical across modes. With
-  // spilling enabled the build is DEFERRED into each reduce task: a bucket is
-  // streamed back from the spill files right before it is reduced and freed
-  // right after, so peak shuffle memory is (worker lanes x one bucket), not
-  // the whole dataset — which is the entire point of the spill budget. The
-  // per-bucket record order is identical either way; only when memory is
-  // reclaimed changes. ----
+  // produces, so grouping and output stay identical across modes. ----
   common::Timer shuffle_timer;
   std::vector<std::vector<KV<MidK, MidV>>> buckets(num_reduces);
-  const auto build_bucket = [&](std::size_t b) {
-    opts.cancel.throw_if_stopped("shuffle bucket");
-    common::ScopedSpan bucket_span(opts.trace, "shuffle-bucket", "shuffle");
-    const auto task_spilled = [&](std::size_t t) {
-      return spill_enabled && !spills[t].path.empty();
-    };
-    std::size_t total = 0;
-    for (std::size_t t = 0; t < num_maps; ++t) {
-      total += task_spilled(t) ? spills[t].records[b] : shards[t][b].size();
-    }
-    auto& bucket = buckets[b];
-    bucket.reserve(total);
-    std::vector<char> span_bytes;  // one (map task, bucket) span at a time
-    for (std::size_t t = 0; t < num_maps; ++t) {
-      if (task_spilled(t)) {
-        // Read the task's bucket span back with one read and decode it from
-        // memory. A private ifstream per (task, bucket) keeps concurrent
-        // bucket builds safe. The span must decode to exactly its record
-        // count and end exactly at its end; the codec throws rather than
-        // read past it.
-        const SpillFile& spill = spills[t];
-        const std::uint64_t records = spill.records[b];
-        if (records == 0) continue;
-        std::ifstream in(spill.path, std::ios::binary);
-        if (!in) MRSKY_FAIL("cannot reopen shuffle spill file: " + spill.path);
-        span_bytes.resize(spill.offsets[b + 1] - spill.offsets[b]);
-        in.seekg(static_cast<std::streamoff>(spill.offsets[b]));
-        in.read(span_bytes.data(), static_cast<std::streamsize>(span_bytes.size()));
-        if (!in) MRSKY_FAIL("truncated shuffle spill file: " + spill.path);
-        std::span<const char> rest(span_bytes);
-        for (std::uint64_t r = 0; r < records; ++r) {
-          bucket.push_back(config.spill_codec.read(rest));
-        }
-        if (!rest.empty()) {
-          MRSKY_FAIL("corrupt shuffle spill file: " + spill.path + " (bucket " +
-                     std::to_string(b) + " decodes " + std::to_string(records) +
-                     " records with " + std::to_string(rest.size()) + " bytes left over)");
-        }
-        continue;
-      }
-      auto& shard = shards[t][b];
-      bucket.insert(bucket.end(), std::make_move_iterator(shard.begin()),
-                    std::make_move_iterator(shard.end()));
-      shard.clear();
-    }
-    bucket_span.arg("bucket", b);
-    bucket_span.arg("records", total);
-  };
-  std::atomic<std::uint64_t> deferred_shuffle_ns{0};
-  if (!spill_enabled) {
+  {
     common::ScopedSpan shuffle_span(opts.trace, "shuffle", "shuffle");
     shuffle_span.arg("job", config.name);
     shuffle_span.arg("records", result.metrics.shuffle_records);
     shuffle_span.arg("bytes", result.metrics.shuffle_bytes);
-    detail::for_each_task(num_reduces, pool.get(), build_bucket);
+    detail::for_each_task(num_reduces, pool.get(), [&](std::size_t b) {
+      opts.cancel.throw_if_stopped("shuffle bucket");
+      common::ScopedSpan bucket_span(opts.trace, "shuffle-bucket", "shuffle");
+      std::size_t total = 0;
+      for (std::size_t t = 0; t < num_maps; ++t) total += shards[t][b].size();
+      auto& bucket = buckets[b];
+      bucket.reserve(total);
+      for (std::size_t t = 0; t < num_maps; ++t) {
+        auto& shard = shards[t][b];
+        bucket.insert(bucket.end(), std::make_move_iterator(shard.begin()),
+                      std::make_move_iterator(shard.end()));
+        shard.clear();
+      }
+      bucket_span.arg("bucket", b);
+      bucket_span.arg("records", total);
+    });
   }
   result.metrics.shuffle_ns = shuffle_timer.elapsed_ns();
 
@@ -861,11 +714,6 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
     TaskContext ctx;
     Emitter<OutK, OutV> emitter;
     auto& m = result.metrics.reduce_tasks[t];
-    if (spill_enabled) {
-      common::Timer bucket_timer;
-      build_bucket(t);
-      deferred_shuffle_ns.fetch_add(bucket_timer.elapsed_ns(), std::memory_order_relaxed);
-    }
     m.records_in = buckets[t].size();
     auto& bucket = buckets[t];
     const auto key_less = [](const KV<MidK, MidV>& a, const KV<MidK, MidV>& b) {
@@ -904,30 +752,11 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
           return last - first;
         });
     reduce_outputs[t] = emitter.take();
-    // The bucket is dead once its groups have reduced; reclaim eagerly so a
-    // deferred (spilled) shuffle holds at most one bucket per worker lane.
+    // The bucket is dead once its groups have reduced; reclaim eagerly.
     std::vector<KV<MidK, MidV>>().swap(buckets[t]);
     m.records_out = reduce_outputs[t].size();
-    m.work_units = ctx.work_units();
-    m.wall_ns = timer.elapsed_ns();
-    m.attempts = outcome.attempts;
-    m.records_skipped = outcome.records_skipped;
-    m.wasted_records = outcome.wasted_records;
-    m.wasted_work_units = outcome.wasted_work_units;
-    m.failure_events = std::move(outcome.events);
-    m.counters = ctx.counters();
-    task_span.arg("records_in", m.records_in);
-    task_span.arg("records_out", m.records_out);
-    task_span.arg("attempts", m.attempts);
-    if (m.wasted_records > 0) task_span.arg("wasted_records", m.wasted_records);
+    detail::finish_task(m, ctx, std::move(outcome), timer.elapsed_ns(), task_span);
   });
-
-  // Deferred bucket builds are shuffle work that happened to run inside
-  // reduce tasks; account them where the eager path would have.
-  if (spill_enabled) {
-    result.metrics.shuffle_ns +=
-        static_cast<std::int64_t>(deferred_shuffle_ns.load(std::memory_order_relaxed));
-  }
 
   std::size_t total_out = 0;
   for (const auto& out : reduce_outputs) total_out += out.size();

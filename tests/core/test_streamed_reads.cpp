@@ -4,7 +4,7 @@
 // survives corner pruning once (kSequential, no faults) and never a pruned
 // one; its partition report counts exactly those blocks' rows. A damaged
 // job-1 spill file fails the run with a typed error, never a read past the
-// decoded span, and leaves no spill file behind.
+// span, and leaves no spill file behind.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <set>
 #include <string>
@@ -142,25 +141,39 @@ TEST_F(StreamedReads, SaltedRunCountsOnlySurvivingRows) {
 
 /// A streamed, always-spilling run whose first local-skyline call hands
 /// every job-1 spill file to `damage` — after the map stage has written them
-/// all and the first reduce bucket has been read back, before the rest are.
+/// all and the first non-empty reduce bucket has been read back, before the
+/// rest are.
 class PipelineSpill : public StreamedReads {
  protected:
+  using Damage = std::function<void(const fs::path& file, std::size_t rows_read)>;
+
   /// Runs the job and returns the RuntimeError message it failed with ("" if
   /// it succeeded). The spill directory must be empty afterwards either way.
   static std::string run_damaged(const std::function<void(const fs::path&)>& damage) {
+    Damage adapted;
+    if (damage) adapted = [&damage](const fs::path& file, std::size_t) { damage(file); };
+    return run_spilling(adapted, /*map_tasks=*/0);
+  }
+
+  /// Same, with `map_tasks` map tasks (0 = the default), also handing
+  /// `damage` the row count of the bucket that was read back.
+  static std::string run_spilling(const Damage& damage, std::size_t map_tasks) {
     const fs::path dir =
         fs::path(testing::TempDir()) / ("pipeline-spill-" + std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir);
     const data::BlockStoreSource source(path_);
     core::MRSkylineConfig config;
+    config.num_map_tasks = map_tasks;
     config.run_options.shuffle_spill_bytes = 1;
     config.run_options.spill_dir = dir.string();
     bool damaged = false;
     config.local_skyline_override = [&](const data::PointSet& points,
                                         skyline::SkylineStats* stats) {
       if (!damaged && damage) {
-        for (const auto& entry : fs::directory_iterator(dir)) damage(entry.path());
+        for (const auto& entry : fs::directory_iterator(dir)) {
+          damage(entry.path(), points.size());
+        }
       }
       damaged = true;
       return skyline::compute_skyline(points, skyline::Algorithm::kBnl, stats);
@@ -179,8 +192,8 @@ class PipelineSpill : public StreamedReads {
   }
 };
 
-/// Job-1 spill record layout: u64 key, u32 id, u64 coordinate count, doubles.
-constexpr std::size_t kRecordBytes = 8 + 4 + 8 + 8 * kDim;
+/// Job-1 spill span layout: each row's coordinates, then each row's u32 id.
+constexpr std::size_t kSpilledRowBytes = 8 * kDim + 4;
 
 TEST_F(PipelineSpill, UndamagedSpillSucceeds) { EXPECT_EQ(run_damaged({}), ""); }
 
@@ -190,22 +203,31 @@ TEST_F(PipelineSpill, TruncatedSpillFileFailsTyped) {
   EXPECT_NE(message.find("truncated shuffle spill file"), std::string::npos) << message;
 }
 
-TEST_F(PipelineSpill, CorruptedCoordinateCountFailsTyped) {
-  for (const std::uint64_t count : {std::uint64_t{kDim - 1}, std::uint64_t{kDim + 1},
-                                    std::uint64_t{1} << 60}) {
-    const std::string message = run_damaged([count](const fs::path& file) {
-      const auto size = fs::file_size(file);
-      ASSERT_EQ(size % kRecordBytes, 0u);
-      std::fstream io(file, std::ios::binary | std::ios::in | std::ios::out);
-      for (std::uint64_t at = 0; at < size; at += kRecordBytes) {
-        io.seekp(static_cast<std::streamoff>(at + 12));
-        io.write(reinterpret_cast<const char*>(&count), sizeof(count));
-      }
-      ASSERT_TRUE(io.good());
-    });
-    EXPECT_NE(message.find("corrupt shuffle spill record"), std::string::npos)
-        << "count " << count << ": " << message;
-  }
+TEST_F(PipelineSpill, FileCutByOneByteFailsTyped) {
+  const std::string message = run_damaged([](const fs::path& file) {
+    ASSERT_EQ(fs::file_size(file) % kSpilledRowBytes, 0u);
+    fs::resize_file(file, fs::file_size(file) - 1);
+  });
+  EXPECT_NE(message.find("truncated shuffle spill file"), std::string::npos) << message;
+}
+
+TEST_F(PipelineSpill, FileCutAtASpanBoundaryFailsTyped) {
+  // One map task writes one file, and the first reduce call sees all of the
+  // first non-empty bucket: its span ends the file's first bytes. Cutting
+  // there leaves the spans already read whole and drops every later one.
+  const std::string message = run_spilling(
+      [](const fs::path& file, std::size_t rows_read) {
+        const std::uintmax_t boundary = rows_read * kSpilledRowBytes;
+        ASSERT_LT(boundary, fs::file_size(file)) << "no later span to cut";
+        fs::resize_file(file, boundary);
+      },
+      /*map_tasks=*/1);
+  EXPECT_NE(message.find("truncated shuffle spill file"), std::string::npos) << message;
+}
+
+TEST_F(PipelineSpill, FileRemovedBeforeReadBackFailsTyped) {
+  const std::string message = run_damaged([](const fs::path& file) { fs::remove(file); });
+  EXPECT_NE(message.find("cannot reopen shuffle spill file"), std::string::npos) << message;
 }
 
 }  // namespace
