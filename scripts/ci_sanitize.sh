@@ -24,9 +24,13 @@ cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
   -DMRSKY_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j --target mrsky_tests
 
-# The suites touching the engine's concurrency: the generic job engine, the
-# thread pool itself, and the skyline pipeline that drives them end to end.
-FILTER='ThreadPool*:Job*:JobEdgeCases*:ParallelShuffle*:Counters*:Fault*:SkipBadRecords*:MapOnly*'
+# The suites touching the engine's concurrency: the row job's model, edge
+# cases and split offsets (Job* also matches JobEdgeCases and JobMetrics),
+# its attempt loop, kThreads runs on private and shared pools, and named
+# counters; the simulator's speculative schedules; the thread pool itself;
+# and the skyline pipeline that drives them end to end.
+FILTER='ThreadPool*:Job*:FaultInjection*:SkipBadRecords*:ParallelShuffle*:Counters*'
+FILTER+=':TaskContext*:Speculation*'
 FILTER+=':MRSkyline*:Salting*:TreeMerge*:KernelOverride*:SampleFit*'
 # The tiled dominance kernel + window buffers (pointer-striding code under the
 # skyline algorithms; ASan/UBSan catch lane/padding mistakes, TSan checks the

@@ -1,43 +1,29 @@
-// The MapReduce job engine.
+// The task machinery of the MapReduce engine, and the options a job runs
+// under.
 //
-// A faithful miniature of the Hadoop execution model the paper ran on:
+// The engine is the row job (row_job.hpp): a faithful miniature of the
+// Hadoop execution model the paper ran on, for records that are points.
 //
-//   input splits ──map──▶ (combine) ──shuffle/sort──▶ reduce ──▶ output
+//   input splits ──map──▶ (combine) ──shuffle──▶ reduce ──▶ output
 //
-// * Input is split into `num_map_tasks` contiguous splits (HDFS blocks).
-//   Input is read through a lightweight view (`size()`/`key(i)`/`value(i)`),
-//   so callers can run jobs directly over columnar storage (e.g. a PointSet)
-//   without materialising a vector<KV> copy; `std::vector<KV>` still works
-//   out of the box.
-// * Each map task applies `map_fn` per record, then — if a combiner is
-//   configured — groups its own output by key and applies `combine_fn`
-//   (Hadoop's map-side combine; its cost is charged to the map task), and
-//   finally scatters its records into per-reduce-task shards (the map-side
-//   partitioning Hadoop performs when writing spill files). `partition_fn`
-//   therefore runs inside map tasks and must be pure/thread-safe.
-// * The shuffle concatenates, per reduce bucket and in map-task order, the
-//   shards every map task produced, then stable-sorts each bucket by key
-//   unless it is already in key order (sort-merge grouping, requires
-//   operator< on the mid key). Both the scatter and the concatenation run
-//   in parallel under kThreads; the time spent building buckets is
-//   recorded as JobMetrics::shuffle_ns.
-// * Each reduce task applies `reduce_fn` once per key group.
-//
-// The skyline pipeline's jobs run on row_job.hpp instead: the same model and
-// this file's attempt loop, splits and pool, for records that are points kept
-// as flat rows. Only row jobs spill (RunOptions::shuffle_spill_bytes).
+// This header holds what every phase of it shares: RunOptions, the
+// contiguous splits (detail::split_offsets), the attempt loop with fault
+// injection and skip-bad-records (detail::run_task_attempts), the per-task
+// bookkeeping (detail::finish_task), the pool a job runs on
+// (detail::EnginePool, detail::for_each_task), and the TaskContext user
+// functions charge work and counters to.
 //
 // Execution is sequential or thread-pooled (ExecutionMode). Under kThreads
-// the engine either borrows the caller's persistent RunOptions::pool (reused
+// a job either borrows the caller's persistent RunOptions::pool (reused
 // across jobs — run_mr_skyline threads one pool through job 1 and every
-// merge round) or creates one private pool per engine call, never one per
-// phase. Results and metrics are identical in both modes — bitwise, except
-// for the measured wall-clock fields (TaskMetrics::wall_ns,
-// JobMetrics::shuffle_ns) — because tasks are pure, shuffle metrics are
-// summed in task order, and outputs are gathered in task order, never
-// completion order. The cluster *simulation* (cluster.hpp) is a separate
-// concern that consumes the metrics afterwards — so experiments are
-// reproducible on any host, including this repository's single-core CI.
+// merge round) or creates one private pool per job, never one per phase.
+// Results and metrics are identical in both modes — bitwise, except for the
+// measured wall-clock fields (TaskMetrics::wall_ns, JobMetrics::shuffle_ns)
+// — because tasks are pure, shuffle metrics are summed in task order, and
+// outputs are gathered in task order, never completion order. The cluster
+// *simulation* (cluster.hpp) is a separate concern that consumes the metrics
+// afterwards — so experiments are reproducible on any host, including this
+// repository's single-core CI.
 //
 // Fault tolerance mirrors Hadoop 0.20's task model: attempts can fail
 // mid-task (deterministically injected via RunOptions), discarding their
@@ -50,10 +36,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -62,9 +47,7 @@
 #include "src/common/error.hpp"
 #include "src/common/sync.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/common/timer.hpp"
 #include "src/common/trace.hpp"
-#include "src/mapreduce/keyvalue.hpp"
 #include "src/mapreduce/metrics.hpp"
 
 namespace mrsky::mr {
@@ -78,10 +61,10 @@ struct RunOptions {
   std::size_t num_threads = 0;
 
   /// Optional caller-owned persistent pool for kThreads. When set, every
-  /// engine call runs on it and no pool is constructed internally — the way
-  /// to amortise thread start-up across a multi-job pipeline. The pool must
-  /// outlive every engine call that uses these options. When null, each
-  /// run_job/run_map_only call creates one private pool for its duration.
+  /// job runs on it and no pool is constructed internally — the way to
+  /// amortise thread start-up across a multi-job pipeline. The pool must
+  /// outlive every job that uses these options. When null, each job creates
+  /// one private pool for its duration.
   common::ThreadPool* pool = nullptr;
 
   /// Fault injection: probability that any task attempt fails and is retried
@@ -119,17 +102,16 @@ struct RunOptions {
   /// site is a single pointer test.
   common::TraceRecorder* trace = nullptr;
 
-  /// Shuffle spill budget in bytes; 0 disables spilling. Only row jobs
-  /// (row_job.hpp, the skyline pipeline's jobs) spill; run_job keeps its
-  /// shuffle in memory. A map task whose shuffle volume projects the job
-  /// past this budget (task bytes × map tasks > budget — a per-task-local,
-  /// scheduling-independent test) writes each reduce bucket's rows to a
-  /// temporary spill file as raw coordinate and id bytes, one write per
-  /// bucket, freeing each bucket as soon as it is written. Each reduce task
-  /// then reads every map task's span of its bucket back with one read, in
-  /// map-task order. Output content and order are exactly what the
-  /// in-memory shuffle produces — spilling is purely a memory/IO trade,
-  /// accounted in JobMetrics::shuffle_spilled_bytes / shuffle_spill_files.
+  /// Shuffle spill budget in bytes; 0 disables spilling. A map task whose
+  /// shuffle volume projects the job past this budget (task bytes × map
+  /// tasks > budget — a per-task-local, scheduling-independent test) writes
+  /// each reduce bucket's rows to a temporary spill file as raw coordinate
+  /// and id bytes, one write per bucket, freeing each bucket as soon as it
+  /// is written. Each reduce task then reads every map task's span of its
+  /// bucket back with one read, in map-task order. Output content and order
+  /// are exactly what the in-memory shuffle produces — spilling is purely a
+  /// memory/IO trade, accounted in JobMetrics::shuffle_spilled_bytes /
+  /// shuffle_spill_files.
   std::uint64_t shuffle_spill_bytes = 0;
   /// Directory for spill files; empty = std::filesystem::temp_directory_path().
   std::string spill_dir;
@@ -149,6 +131,29 @@ struct RunOptions {
 /// so striding keeps the overhead invisible even for trivial map functions
 /// while still bounding cancellation latency to a few thousand records.
 inline constexpr std::size_t kCancelPollStride = 1024;
+
+/// Cost-accounting handle. User functions charge the abstract work they do
+/// (dominance tests, for the skyline jobs); the cluster simulator turns the
+/// total into simulated seconds. Real elapsed time is measured separately by
+/// the engine, so charging work is only needed for simulation fidelity.
+class TaskContext {
+ public:
+  void charge_work(std::uint64_t units) noexcept { work_units_ += units; }
+  [[nodiscard]] std::uint64_t work_units() const noexcept { return work_units_; }
+
+  /// Hadoop-style named counter, aggregated per job in JobMetrics. Each task
+  /// owns its context, so incrementing is race-free even under kThreads.
+  void increment(const std::string& counter, std::uint64_t delta = 1) {
+    counters_[counter] += delta;
+  }
+  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const noexcept {
+    return counters_;
+  }
+
+ private:
+  std::uint64_t work_units_ = 0;
+  std::map<std::string, std::uint64_t> counters_;
+};
 
 namespace detail {
 
@@ -205,16 +210,16 @@ struct TaskAttemptOutcome {
   std::vector<TaskFailureEvent> events;
 };
 
-/// Shared attempt loop for all three phases (map-only, map and reduce of the
-/// full engine). Runs a task body of `num_units` input units under the fault
-/// policy in RunOptions and returns what failure handling cost.
+/// Shared attempt loop of the map and reduce phases. Runs a task body of
+/// `num_units` input units under the fault policy in RunOptions and returns
+/// what failure handling cost.
 ///
-/// `reset()` must discard any partial output of the previous attempt (fresh
-/// emitter). `process(i, ctx, may_fail)` must execute input unit i (a map
-/// record, or a reduce key group) and return how many input records the unit
-/// consumed; `may_fail` is true while the attempt can still be discarded, so
-/// bodies that consume their input destructively (the reduce value move)
-/// must work on copies until it turns false.
+/// `reset()` must discard any partial output of the previous attempt.
+/// `process(i, ctx, may_fail)` must execute input unit i (a map row, or a
+/// reduce bucket) and return how many input records the unit consumed;
+/// `may_fail` is true while the attempt can still be discarded, so a body
+/// that consumes its input destructively must work on copies until it turns
+/// false.
 ///
 /// Failure semantics (the Hadoop 0.20 task model):
 /// * An injected failing attempt executes a deterministic prefix of its
@@ -223,10 +228,11 @@ struct TaskAttemptOutcome {
 ///   counters, and the task re-executes from its input.
 /// * A user function throwing marks the unit bad. Without skip_bad_records
 ///   the attempt fails and the deterministic re-throw exhausts
-///   max_task_attempts — job abort, Hadoop's default. With it, the first
-///   throw fails the attempt and arms skipping mode; re-executions isolate
-///   throwing units in place (counted in records_skipped, capped by
-///   max_skipped_records) and the job completes without them.
+///   max_task_attempts — job abort, Hadoop's default, whose message ends
+///   with what the last attempt threw. With it, the first throw fails the
+///   attempt and arms skipping mode; re-executions isolate throwing units in
+///   place (counted in records_skipped, capped by max_skipped_records) and
+///   the job completes without them.
 template <typename ResetFn, typename ProcessFn>
 TaskAttemptOutcome run_task_attempts(const RunOptions& opts, const std::string& job, int phase,
                                      std::size_t task, std::size_t num_units,
@@ -249,10 +255,12 @@ TaskAttemptOutcome run_task_attempts(const RunOptions& opts, const std::string& 
   }
   std::vector<std::size_t> skipped;  // sorted unit indices isolated as bad
   bool skipping = false;             // armed by the first bad record
+  std::string last_throw;            // what the last attempt threw, if a throw failed it
   for (std::uint64_t attempt = 0;; ++attempt) {
     if (attempt >= opts.max_task_attempts) {
       MRSKY_FAIL(std::string(phase_name) + " task " + std::to_string(task) + " of job '" + job +
-                 "' failed " + std::to_string(opts.max_task_attempts) + " attempts");
+                 "' failed " + std::to_string(opts.max_task_attempts) + " attempts" +
+                 (last_throw.empty() ? "" : " (last attempt: " + last_throw + ")"));
     }
     const bool injected = attempt_fails(opts, job, phase, task, attempt);
     const std::uint64_t executable = num_units - skipped.size();
@@ -312,6 +320,7 @@ TaskAttemptOutcome run_task_attempts(const RunOptions& opts, const std::string& 
                                                     /*injected=*/false, i});
           failed = true;
         }
+        if (failed && attempt + 1 == opts.max_task_attempts) last_throw = e.what();
       }
     }
     if (injected && !failed) {
@@ -360,9 +369,9 @@ inline void finish_task(TaskMetrics& m, const TaskContext& ctx, TaskAttemptOutco
   if (m.wasted_records > 0) span.arg("wasted_records", m.wasted_records);
 }
 
-/// The pool one engine call runs on: the caller's persistent RunOptions::pool
-/// when provided, else a private pool created once per call (not once per
-/// phase) and destroyed on return. Sequential mode never creates a pool and
+/// The pool one job runs on: the caller's persistent RunOptions::pool when
+/// provided, else a private pool created once per job (not once per phase)
+/// and destroyed on return. Sequential mode never creates a pool and
 /// get() returns nullptr.
 class EnginePool {
  public:
@@ -384,79 +393,6 @@ class EnginePool {
   common::ThreadPool* pool_ = nullptr;
   std::unique_ptr<common::ThreadPool> owned_;
 };
-
-}  // namespace detail
-
-/// The minimal read-only record-sequence interface the engine consumes:
-/// `size()`, plus `key(i)`/`value(i)` whose results bind to the map
-/// function's `const InK&`/`const InV&` parameters.
-template <typename Input>
-concept JobInput = requires(const Input& in, std::size_t i) {
-  { in.size() } -> std::convertible_to<std::size_t>;
-  in.key(i);
-  in.value(i);
-};
-
-/// Adapts the classic vector-of-records input to the view interface.
-template <typename K, typename V>
-struct VectorInput {
-  const std::vector<KV<K, V>>* records;
-
-  [[nodiscard]] std::size_t size() const noexcept { return records->size(); }
-  [[nodiscard]] const K& key(std::size_t i) const noexcept { return (*records)[i].key; }
-  [[nodiscard]] const V& value(std::size_t i) const noexcept { return (*records)[i].value; }
-};
-
-template <typename InK, typename InV, typename MidK, typename MidV, typename OutK,
-          typename OutV>
-struct JobConfig {
-  std::string name = "job";
-  std::size_t num_map_tasks = 1;
-  std::size_t num_reduce_tasks = 1;
-
-  using MapFn = std::function<void(const InK&, const InV&, Emitter<MidK, MidV>&, TaskContext&)>;
-  using CombineFn =
-      std::function<void(const MidK&, std::vector<MidV>&, Emitter<MidK, MidV>&, TaskContext&)>;
-  using ReduceFn =
-      std::function<void(const MidK&, std::vector<MidV>&, Emitter<OutK, OutV>&, TaskContext&)>;
-  using PartitionFn = std::function<std::size_t(const MidK&, std::size_t)>;
-  using ValueBytesFn = std::function<std::size_t(const MidV&)>;
-
-  MapFn map_fn;
-  CombineFn combine_fn;  ///< optional map-side combine
-  ReduceFn reduce_fn;
-  /// Routes a mid key to a reduce bucket; default std::hash(key) % buckets.
-  /// Runs inside map tasks, so it must be pure and thread-safe.
-  PartitionFn partition_fn;
-  /// Approximate payload size of a shuffled value; default sizeof(MidV).
-  ValueBytesFn value_bytes_fn;
-};
-
-template <typename OutK, typename OutV>
-struct JobResult {
-  std::vector<KV<OutK, OutV>> output;
-  JobMetrics metrics;
-};
-
-namespace detail {
-
-/// Sorts records by key and invokes `fn(key, values)` per key group,
-/// consuming the records. Requires operator< on K.
-template <typename K, typename V, typename Fn>
-void group_by_key(std::vector<KV<K, V>>& records, Fn&& fn) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const KV<K, V>& a, const KV<K, V>& b) { return a.key < b.key; });
-  std::size_t i = 0;
-  while (i < records.size()) {
-    std::size_t j = i + 1;
-    while (j < records.size() && !(records[i].key < records[j].key)) ++j;
-    std::vector<V> values;
-    values.reserve(j - i);
-    for (std::size_t r = i; r < j; ++r) values.push_back(std::move(records[r].value));
-    fn(records[i].key, values);
-    i = j;
-  }
-}
 
 /// Evenly-sized contiguous split boundaries: returns num_splits+1 offsets
 /// with offsets[s] = floor(n * s / num_splits), computed incrementally so the
@@ -492,289 +428,5 @@ inline void for_each_task(std::size_t count, common::ThreadPool* pool,
 }
 
 }  // namespace detail
-
-/// A reduce-less job (Hadoop's numReduceTasks = 0): map output is the job
-/// output, no shuffle, no sort. Used for pure transform/filter passes.
-template <typename InK, typename InV, typename OutK, typename OutV>
-struct MapOnlyConfig {
-  std::string name = "map-only";
-  std::size_t num_map_tasks = 1;
-  std::function<void(const InK&, const InV&, Emitter<OutK, OutV>&, TaskContext&)> map_fn;
-};
-
-/// Executes a map-only job over any JobInput view: per-task metrics are
-/// recorded exactly as in the full engine (including fault-injection
-/// retries); shuffle counters stay 0.
-template <typename InK, typename InV, typename OutK, typename OutV, JobInput Input>
-JobResult<OutK, OutV> run_map_only(const MapOnlyConfig<InK, InV, OutK, OutV>& config,
-                                   const Input& input, const RunOptions& opts = {}) {
-  MRSKY_REQUIRE(static_cast<bool>(config.map_fn), "map-only job needs a map function");
-  MRSKY_REQUIRE(config.num_map_tasks >= 1, "need at least one map task");
-
-  JobResult<OutK, OutV> result;
-  result.metrics.job_name = config.name;
-  result.metrics.map_tasks.resize(config.num_map_tasks);
-
-  common::ScopedSpan job_span(opts.trace, config.name, "job");
-  job_span.arg("map_tasks", config.num_map_tasks);
-
-  opts.cancel.throw_if_stopped("map-only job start");
-  const detail::EnginePool pool(opts);
-  const auto offsets = detail::split_offsets(input.size(), config.num_map_tasks);
-  std::vector<std::vector<KV<OutK, OutV>>> outputs(config.num_map_tasks);
-  detail::for_each_task(config.num_map_tasks, pool.get(), [&](std::size_t t) {
-    common::ScopedSpan task_span(opts.trace, "map", "task");
-    task_span.arg("job", config.name);
-    task_span.arg("task", t);
-    common::Timer timer;
-    TaskContext ctx;
-    Emitter<OutK, OutV> emitter;
-    auto outcome = detail::run_task_attempts(
-        opts, config.name, /*phase=*/0, t, offsets[t + 1] - offsets[t], ctx,
-        [&emitter] { emitter = Emitter<OutK, OutV>{}; },
-        [&](std::size_t i, TaskContext& attempt_ctx, bool /*may_fail*/) -> std::uint64_t {
-          const std::size_t r = offsets[t] + i;
-          config.map_fn(input.key(r), input.value(r), emitter, attempt_ctx);
-          return 1;
-        });
-    outputs[t] = emitter.take();
-    auto& m = result.metrics.map_tasks[t];
-    m.records_in = offsets[t + 1] - offsets[t];
-    m.records_out = outputs[t].size();
-    detail::finish_task(m, ctx, std::move(outcome), timer.elapsed_ns(), task_span);
-  });
-
-  std::size_t total_out = 0;
-  for (const auto& out : outputs) total_out += out.size();
-  result.output.reserve(total_out);
-  for (auto& out : outputs) {
-    result.output.insert(result.output.end(), std::make_move_iterator(out.begin()),
-                         std::make_move_iterator(out.end()));
-  }
-  return result;
-}
-
-/// Executes a map-only job over an in-memory record vector.
-template <typename InK, typename InV, typename OutK, typename OutV>
-JobResult<OutK, OutV> run_map_only(const MapOnlyConfig<InK, InV, OutK, OutV>& config,
-                                   const std::vector<KV<InK, InV>>& input,
-                                   const RunOptions& opts = {}) {
-  return run_map_only(config, VectorInput<InK, InV>{&input}, opts);
-}
-
-/// Executes one MapReduce job over any JobInput view. See file header for
-/// the execution model. Throws mrsky::InvalidArgument on bad configuration
-/// (including a partition_fn that returns an out-of-range bucket).
-template <typename InK, typename InV, typename MidK, typename MidV, typename OutK,
-          typename OutV, JobInput Input>
-JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>& config,
-                              const Input& input, const RunOptions& opts = {}) {
-  MRSKY_REQUIRE(static_cast<bool>(config.map_fn), "job needs a map function");
-  MRSKY_REQUIRE(static_cast<bool>(config.reduce_fn), "job needs a reduce function");
-  MRSKY_REQUIRE(config.num_map_tasks >= 1, "need at least one map task");
-  MRSKY_REQUIRE(config.num_reduce_tasks >= 1, "need at least one reduce task");
-
-  const std::size_t num_maps = config.num_map_tasks;
-  const std::size_t num_reduces = config.num_reduce_tasks;
-
-  JobResult<OutK, OutV> result;
-  result.metrics.job_name = config.name;
-  result.metrics.map_tasks.resize(num_maps);
-  result.metrics.reduce_tasks.resize(num_reduces);
-
-  common::ScopedSpan job_span(opts.trace, config.name, "job");
-  job_span.arg("map_tasks", num_maps);
-  job_span.arg("reduce_tasks", num_reduces);
-
-  const auto partition_of = [&](const MidK& key) -> std::size_t {
-    if (config.partition_fn) {
-      const std::size_t p = config.partition_fn(key, num_reduces);
-      // A user-supplied callback is a public-API boundary: validate even in
-      // release builds, or the scatter below indexes out of bounds.
-      MRSKY_REQUIRE(p < num_reduces, "partition_fn returned out-of-range bucket");
-      return p;
-    }
-    return std::hash<MidK>{}(key) % num_reduces;
-  };
-
-  opts.cancel.throw_if_stopped("job start");
-  const detail::EnginePool pool(opts);
-
-  // ---- Map phase: map, optional combine, then scatter into per-reduce
-  // shards (map-side partitioning). Shuffle metrics are tallied per task and
-  // summed in task order below, keeping them independent of scheduling. ----
-  const auto offsets = detail::split_offsets(input.size(), num_maps);
-  std::vector<std::vector<std::vector<KV<MidK, MidV>>>> shards(num_maps);
-  std::vector<std::uint64_t> task_shuffle_records(num_maps, 0);
-  std::vector<std::uint64_t> task_shuffle_bytes(num_maps, 0);
-  std::vector<std::atomic<std::uint64_t>> routed(num_reduces);
-
-  detail::for_each_task(num_maps, pool.get(), [&](std::size_t t) {
-    common::ScopedSpan task_span(opts.trace, "map", "task");
-    task_span.arg("job", config.name);
-    task_span.arg("task", t);
-    common::Timer timer;
-    TaskContext ctx;
-    Emitter<MidK, MidV> emitter;
-    // A failing attempt dies before combine/scatter, so discarding the
-    // emitter (reset) is exactly the partial-output discard: nothing of a
-    // lost attempt ever reaches the shards.
-    auto outcome = detail::run_task_attempts(
-        opts, config.name, /*phase=*/0, t, offsets[t + 1] - offsets[t], ctx,
-        [&emitter] { emitter = Emitter<MidK, MidV>{}; },
-        [&](std::size_t i, TaskContext& attempt_ctx, bool /*may_fail*/) -> std::uint64_t {
-          const std::size_t r = offsets[t] + i;
-          config.map_fn(input.key(r), input.value(r), emitter, attempt_ctx);
-          return 1;
-        });
-    auto emitted = emitter.take();
-    // Routing is counted on the map output itself, before a combiner
-    // rewrites it; without one, the scattered shards are that count.
-    std::vector<std::uint64_t> combined_routed;
-    if (config.combine_fn) {
-      combined_routed.assign(num_reduces, 0);
-      for (const auto& record : emitted) combined_routed[partition_of(record.key)] += 1;
-      common::ScopedSpan combine_span(opts.trace, "combine", "task");
-      combine_span.arg("task", t);
-      combine_span.arg("records_in", emitted.size());
-      Emitter<MidK, MidV> combined;
-      detail::group_by_key(emitted, [&](const MidK& key, std::vector<MidV>& values) {
-        config.combine_fn(key, values, combined, ctx);
-      });
-      emitted = combined.take();
-      combine_span.arg("records_out", emitted.size());
-    }
-    auto& m = result.metrics.map_tasks[t];
-    m.records_in = offsets[t + 1] - offsets[t];
-    m.records_out = emitted.size();
-    auto& task_shards = shards[t];
-    task_shards.resize(num_reduces);
-    for (auto& record : emitted) {
-      task_shuffle_records[t] += 1;
-      task_shuffle_bytes[t] +=
-          sizeof(MidK) +
-          (config.value_bytes_fn ? config.value_bytes_fn(record.value) : sizeof(MidV));
-      task_shards[partition_of(record.key)].push_back(std::move(record));
-    }
-    for (std::size_t b = 0; b < num_reduces; ++b) {
-      const std::uint64_t count = config.combine_fn ? combined_routed[b] : task_shards[b].size();
-      if (count > 0) routed[b].fetch_add(count, std::memory_order_relaxed);
-    }
-    detail::finish_task(m, ctx, std::move(outcome), timer.elapsed_ns(), task_span);
-  });
-  for (std::size_t t = 0; t < num_maps; ++t) {
-    result.metrics.shuffle_records += task_shuffle_records[t];
-    result.metrics.shuffle_bytes += task_shuffle_bytes[t];
-  }
-  result.metrics.routed_records.reserve(num_reduces);
-  for (const auto& count : routed) result.metrics.routed_records.push_back(count.load());
-
-  // ---- Shuffle: build each reduce bucket by concatenating the map tasks'
-  // shards in map-task order — the exact sequence a sequential scatter
-  // produces, so grouping and output stay identical across modes. ----
-  common::Timer shuffle_timer;
-  std::vector<std::vector<KV<MidK, MidV>>> buckets(num_reduces);
-  {
-    common::ScopedSpan shuffle_span(opts.trace, "shuffle", "shuffle");
-    shuffle_span.arg("job", config.name);
-    shuffle_span.arg("records", result.metrics.shuffle_records);
-    shuffle_span.arg("bytes", result.metrics.shuffle_bytes);
-    detail::for_each_task(num_reduces, pool.get(), [&](std::size_t b) {
-      opts.cancel.throw_if_stopped("shuffle bucket");
-      common::ScopedSpan bucket_span(opts.trace, "shuffle-bucket", "shuffle");
-      std::size_t total = 0;
-      for (std::size_t t = 0; t < num_maps; ++t) total += shards[t][b].size();
-      auto& bucket = buckets[b];
-      bucket.reserve(total);
-      for (std::size_t t = 0; t < num_maps; ++t) {
-        auto& shard = shards[t][b];
-        bucket.insert(bucket.end(), std::make_move_iterator(shard.begin()),
-                      std::make_move_iterator(shard.end()));
-        shard.clear();
-      }
-      bucket_span.arg("bucket", b);
-      bucket_span.arg("records", total);
-    });
-  }
-  result.metrics.shuffle_ns = shuffle_timer.elapsed_ns();
-
-  // ---- Reduce phase ----
-  // The bucket is sorted and its key-group boundaries computed once; the
-  // attempt loop then executes whole key groups as its input units, so a
-  // mid-task failure re-reduces the bucket from the first group (Hadoop
-  // re-fetches the task's map outputs on retry). Grouping is identical to
-  // the former sort-and-sweep, so output bytes are unchanged.
-  opts.cancel.throw_if_stopped("reduce phase start");
-  std::vector<std::vector<KV<OutK, OutV>>> reduce_outputs(num_reduces);
-  detail::for_each_task(num_reduces, pool.get(), [&](std::size_t t) {
-    common::ScopedSpan task_span(opts.trace, "reduce", "task");
-    task_span.arg("job", config.name);
-    task_span.arg("task", t);
-    common::Timer timer;
-    TaskContext ctx;
-    Emitter<OutK, OutV> emitter;
-    auto& m = result.metrics.reduce_tasks[t];
-    m.records_in = buckets[t].size();
-    auto& bucket = buckets[t];
-    const auto key_less = [](const KV<MidK, MidV>& a, const KV<MidK, MidV>& b) {
-      return a.key < b.key;
-    };
-    // A stable sort of a bucket already in key order (e.g. one holding a
-    // single key) is the identity, so skip it.
-    if (!std::is_sorted(bucket.begin(), bucket.end(), key_less)) {
-      std::stable_sort(bucket.begin(), bucket.end(), key_less);
-    }
-    std::vector<std::pair<std::size_t, std::size_t>> groups;  // [first, last) runs
-    for (std::size_t i = 0; i < bucket.size();) {
-      std::size_t j = i + 1;
-      while (j < bucket.size() && !(bucket[i].key < bucket[j].key)) ++j;
-      groups.emplace_back(i, j);
-      i = j;
-    }
-    auto outcome = detail::run_task_attempts(
-        opts, config.name, /*phase=*/1, t, groups.size(), ctx,
-        [&emitter] { emitter = Emitter<OutK, OutV>{}; },
-        [&](std::size_t g, TaskContext& attempt_ctx, bool may_fail) -> std::uint64_t {
-          const auto [first, last] = groups[g];
-          std::vector<MidV> values;
-          values.reserve(last - first);
-          for (std::size_t r = first; r < last; ++r) {
-            // A discardable attempt must leave the bucket intact for the
-            // re-execution; only the guaranteed-surviving attempt may move
-            // the values out.
-            if (may_fail) {
-              values.push_back(bucket[r].value);
-            } else {
-              values.push_back(std::move(bucket[r].value));
-            }
-          }
-          config.reduce_fn(bucket[first].key, values, emitter, attempt_ctx);
-          return last - first;
-        });
-    reduce_outputs[t] = emitter.take();
-    // The bucket is dead once its groups have reduced; reclaim eagerly.
-    std::vector<KV<MidK, MidV>>().swap(buckets[t]);
-    m.records_out = reduce_outputs[t].size();
-    detail::finish_task(m, ctx, std::move(outcome), timer.elapsed_ns(), task_span);
-  });
-
-  std::size_t total_out = 0;
-  for (const auto& out : reduce_outputs) total_out += out.size();
-  result.output.reserve(total_out);
-  for (auto& out : reduce_outputs) {
-    result.output.insert(result.output.end(), std::make_move_iterator(out.begin()),
-                         std::make_move_iterator(out.end()));
-  }
-  return result;
-}
-
-/// Executes one MapReduce job over an in-memory record vector.
-template <typename InK, typename InV, typename MidK, typename MidV, typename OutK,
-          typename OutV>
-JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>& config,
-                              const std::vector<KV<InK, InV>>& input,
-                              const RunOptions& opts = {}) {
-  return run_job(config, VectorInput<InK, InV>{&input}, opts);
-}
 
 }  // namespace mrsky::mr

@@ -2,8 +2,8 @@
 //
 // Every map and reduce task reports what it consumed, produced, charged as
 // abstract work, and how long it really took. JobMetrics is the plain-data
-// interface between the (templated) engine and the (non-templated) cluster
-// simulator; nothing in here depends on record types.
+// interface between the engine and the cluster simulator; nothing in here
+// depends on record types.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +77,7 @@ struct JobMetrics {
   std::uint64_t shuffle_spill_files = 0;    ///< map tasks that spilled
   /// Records the map functions routed to each reduce bucket (one entry per
   /// reduce task), counted before any combine and for committed attempts
-  /// only: the map output as partition_fn saw it.
+  /// only.
   std::vector<std::uint64_t> routed_records;
 
   // Block-input accounting, set by pipelines that stream a DatasetSource

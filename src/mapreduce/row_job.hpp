@@ -1,10 +1,9 @@
-// The row job: the engine's map → shuffle → reduce for point rows.
+// The row job: the engine's map → shuffle → reduce, for point rows.
 //
 // A record is (key, u32 id, dim doubles), the shape of every job in the
-// skyline pipeline (core/mr_skyline.cpp, this header's one client). Where
-// run_job (job.hpp) moves each record as a KV with a value object of its
-// own, a row job keeps the records of one map task and one reduce bucket as
-// one data::PointSet: flat row-major coordinates plus ids.
+// skyline pipeline (core/mr_skyline.cpp, this header's one client). A row
+// job keeps the records of one map task and one reduce bucket as one
+// data::PointSet: flat row-major coordinates plus ids.
 //
 // * The map function appends each row it keeps to its bucket's PointSet.
 // * A spilling map task writes each bucket as its raw coordinate and id
@@ -20,14 +19,12 @@
 // InvalidArgument from inside the map function, which the attempt loop
 // treats like any record the map function throws on.
 //
-// Everything else is run_job's: the attempt loop with fault injection and
-// skip-bad-records (detail::run_task_attempts), the splits, the task
-// scheduling and pool, the cancellation polls, the span names and
-// categories, and the JobMetrics the cluster simulator consumes. A shuffled
-// record is charged 8 + 4 + 8·dim bytes — u64 key, u32 id, the coordinates —
-// as run_job charged the pipeline's KV<size_t, point> records, so every
-// spill decision and simulated time is the same. A spilled record takes
-// 4 + 8·dim bytes: its key is its bucket.
+// The task machinery is job.hpp's: the attempt loop with fault injection
+// and skip-bad-records (detail::run_task_attempts), the splits, the task
+// scheduling and pool, and the cancellation polls. Each task records the
+// JobMetrics the cluster simulator consumes. A shuffled record is charged
+// 8 + 4 + 8·dim bytes — u64 key, u32 id, the coordinates — and a spilled
+// one takes 4 + 8·dim: its key is its bucket.
 #pragma once
 
 #include <fcntl.h>

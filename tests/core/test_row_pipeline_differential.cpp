@@ -1,9 +1,10 @@
 // Differential sweep of the row-job pipeline against the record pipeline it
 // replaced. run_mr_skyline moves each point through job 1 and the merge
 // rounds as a flat row (src/mapreduce/row_job.hpp); before, each point was a
-// PointRec — an id plus its own heap vector — carried by the generic
-// mr::run_job. That record pipeline is kept here as the reference, with its
-// resident and streamed front halves (fit, filter, block pruning). Over
+// PointRec — an id plus its own heap vector — carried as a keyed record.
+// That record pipeline is kept here as the reference, with its resident and
+// streamed front halves (fit, filter, block pruning), on a sequential record
+// engine of its own built on the engine's attempt loop and splits. Over
 // seeded cases — resident and `.mrb` inputs, MR-Angle/Grid/Dim, fan-in 0 and
 // ≥ 2, combiner, salting, representative filter, injected faults with and
 // without skip-bad-records (a partitioner and a kernel that throw on some
@@ -12,9 +13,9 @@
 // report, and every JobMetrics field but the walls (wall_ns, shuffle_ns) and
 // shuffle_spilled_bytes; or fail with the same error.
 //
-// The reference does not spill: its spill codec never changed a record, so
-// its shuffle_spill_files is the count of map tasks whose shuffle bytes ×
-// map tasks exceed the budget — the decision run_job made.
+// The reference does not spill: a spill never changes a record, so its
+// shuffle_spill_files is the count of map tasks whose shuffle bytes × map
+// tasks exceed the budget — the decision the row job makes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,6 +25,8 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
@@ -34,7 +37,6 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/common/trace.hpp"
 #include "src/core/mr_skyline.hpp"
 #include "src/dataset/block_store.hpp"
@@ -63,14 +65,122 @@ data::PointSet to_point_set(std::size_t dim, const std::vector<PointRec>& recs) 
   return ps;
 }
 
-struct RowsInput {
-  const data::PointSet* ps;
-  [[nodiscard]] std::size_t size() const noexcept { return ps->size(); }
-  [[nodiscard]] data::PointId key(std::size_t i) const noexcept { return ps->id(i); }
-  [[nodiscard]] std::span<const double> value(std::size_t i) const noexcept {
-    return ps->point(i);
-  }
+/// A keyed record; key k goes to reduce bucket k mod the bucket count.
+struct Rec {
+  std::size_t key = 0;
+  PointRec value;
 };
+
+struct RecordJob {
+  std::string name;
+  std::size_t num_map_tasks = 1;
+  std::size_t num_reduce_tasks = 1;
+  /// Maps input row `row` into zero or more records.
+  std::function<void(std::size_t row, std::vector<Rec>& out, mr::TaskContext& ctx)> map_fn;
+  /// Turns one key group's values into records.
+  using GroupFn = std::function<void(std::size_t key, std::vector<PointRec>& values,
+                                     std::vector<Rec>& out, mr::TaskContext& ctx)>;
+  GroupFn combine_fn;  ///< optional, per map task
+  GroupFn reduce_fn;
+};
+
+struct RecordJobResult {
+  std::vector<Rec> output;  ///< reduce task order, key order within a task
+  mr::JobMetrics metrics;
+};
+
+/// Half-open runs of equal keys in `recs`, after stable-sorting it by key.
+std::vector<std::pair<std::size_t, std::size_t>> sort_into_groups(std::vector<Rec>& recs) {
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const Rec& a, const Rec& b) { return a.key < b.key; });
+  std::vector<std::pair<std::size_t, std::size_t>> groups;
+  for (std::size_t i = 0; i < recs.size();) {
+    std::size_t j = i + 1;
+    while (j < recs.size() && recs[j].key == recs[i].key) ++j;
+    groups.emplace_back(i, j);
+    i = j;
+  }
+  return groups;
+}
+
+/// Runs `job` over `input_rows` rows of `dim` attributes, one task at a
+/// time. A map task maps its split under the attempt loop, counts its
+/// routing, then combines its records by key; each bucket is the map tasks'
+/// records in map-task order, stable-sorted by key and reduced one key group
+/// per attempt unit. A record crossing the shuffle is charged 8 + 4 + 8·dim
+/// bytes: key, id, coordinates.
+RecordJobResult run_record_job(const RecordJob& job, std::size_t input_rows, std::size_t dim,
+                               const mr::RunOptions& opts) {
+  const std::size_t maps = job.num_map_tasks;
+  const std::size_t reduces = job.num_reduce_tasks;
+  RecordJobResult result;
+  mr::JobMetrics& metrics = result.metrics;
+  metrics.job_name = job.name;
+  metrics.map_tasks.resize(maps);
+  metrics.reduce_tasks.resize(reduces);
+  metrics.routed_records.assign(reduces, 0);
+  common::ScopedSpan no_span;
+
+  std::vector<std::vector<Rec>> buckets(reduces);
+  const auto offsets = mr::detail::split_offsets(input_rows, maps);
+  for (std::size_t t = 0; t < maps; ++t) {
+    mr::TaskContext ctx;
+    std::vector<Rec> out;
+    auto outcome = mr::detail::run_task_attempts(
+        opts, job.name, /*phase=*/0, t, offsets[t + 1] - offsets[t], ctx, [&out] { out.clear(); },
+        [&](std::size_t i, mr::TaskContext& attempt_ctx, bool) -> std::uint64_t {
+          job.map_fn(offsets[t] + i, out, attempt_ctx);
+          return 1;
+        });
+    for (const Rec& rec : out) metrics.routed_records[rec.key % reduces] += 1;
+    if (job.combine_fn) {
+      std::vector<Rec> combined;
+      for (const auto& [first, last] : sort_into_groups(out)) {
+        std::vector<PointRec> values;
+        for (std::size_t r = first; r < last; ++r) values.push_back(std::move(out[r].value));
+        job.combine_fn(out[first].key, values, combined, ctx);
+      }
+      out = std::move(combined);
+    }
+    mr::TaskMetrics& m = metrics.map_tasks[t];
+    m.records_in = offsets[t + 1] - offsets[t];
+    m.records_out = out.size();
+    metrics.shuffle_records += out.size();
+    metrics.shuffle_bytes += out.size() * (8 + 4 + 8 * dim);
+    for (Rec& rec : out) buckets[rec.key % reduces].push_back(std::move(rec));
+    mr::detail::finish_task(m, ctx, std::move(outcome), 0, no_span);
+  }
+
+  for (std::size_t b = 0; b < reduces; ++b) {
+    std::vector<Rec>& bucket = buckets[b];
+    const auto groups = sort_into_groups(bucket);
+    mr::TaskContext ctx;
+    std::vector<Rec> out;
+    auto outcome = mr::detail::run_task_attempts(
+        opts, job.name, /*phase=*/1, b, groups.size(), ctx, [&out] { out.clear(); },
+        [&](std::size_t g, mr::TaskContext& attempt_ctx, bool may_fail) -> std::uint64_t {
+          const auto [first, last] = groups[g];
+          std::vector<PointRec> values;
+          for (std::size_t r = first; r < last; ++r) {
+            // A discardable attempt leaves the bucket whole for its retry.
+            if (may_fail) {
+              values.push_back(bucket[r].value);
+            } else {
+              values.push_back(std::move(bucket[r].value));
+            }
+          }
+          job.reduce_fn(bucket[first].key, values, out, attempt_ctx);
+          return last - first;
+        });
+    mr::TaskMetrics& m = metrics.reduce_tasks[b];
+    m.records_in = bucket.size();
+    m.records_out = out.size();
+    mr::detail::finish_task(m, ctx, std::move(outcome), 0, no_span);
+    result.output.insert(result.output.end(), std::make_move_iterator(out.begin()),
+                         std::make_move_iterator(out.end()));
+  }
+  return result;
+}
 
 bool dominated_by_representatives(const skyline::TiledWindow& reps, const double* row,
                                   std::uint64_t& tests) {
@@ -101,21 +211,14 @@ void reference_pipeline(const data::PointSet& rows, const part::Partitioner& par
                         const core::MRSkylineConfig& config, core::MRSkylineResult& result) {
   const std::size_t dim = rows.dim();
   const std::size_t partitions = part_ref.num_partitions();
-  const RowsInput input_view{&rows};
-  mr::RunOptions run_opts = config.run_options;
-  run_opts.shuffle_spill_bytes = 0;
-  std::unique_ptr<common::ThreadPool> pipeline_pool;
-  if (run_opts.mode == mr::ExecutionMode::kThreads && run_opts.pool == nullptr) {
-    pipeline_pool = std::make_unique<common::ThreadPool>(run_opts.num_threads);
-    run_opts.pool = pipeline_pool.get();
-  }
+  const mr::RunOptions& run_opts = config.run_options;
 
   std::vector<std::size_t> salt(partitions, 1);
   if (config.salt_oversized_partitions) {
     std::vector<std::size_t> sizes(partitions, 0);
     std::size_t count = 0;
-    for (std::size_t i = 0; i < input_view.size(); ++i) {
-      const std::span<const double> row = input_view.value(i);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::span<const double> row = rows.point(i);
       std::uint64_t tests = 0;
       if (representatives != nullptr &&
           dominated_by_representatives(*representatives, row.data(), tests)) {
@@ -146,19 +249,14 @@ void reference_pipeline(const data::PointSet& rows, const part::Partitioner& par
     return skyline::compute_skyline(points, config.local_algorithm, stats);
   };
 
-  using Job1 = mr::JobConfig<data::PointId, std::span<const double>, std::size_t, PointRec,
-                             std::size_t, PointRec>;
-  Job1 job1;
+  RecordJob job1;
   job1.name = "partition-local-skyline";
   job1.num_map_tasks = config.effective_map_tasks();
   job1.num_reduce_tasks = total_keys;
-  job1.partition_fn = [](const std::size_t& key, std::size_t buckets) { return key % buckets; };
-  job1.value_bytes_fn = [](const PointRec& rec) {
-    return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
-  };
-  job1.map_fn = [&part_ref, &salt, &key_base, representatives, dim](
-                    const data::PointId& id, const std::span<const double>& coords,
-                    mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+  job1.map_fn = [&rows, &part_ref, &salt, &key_base, representatives, dim](
+                    std::size_t row, std::vector<Rec>& out, mr::TaskContext& ctx) {
+    const data::PointId id = rows.id(row);
+    const std::span<const double> coords = rows.point(row);
     if (representatives != nullptr) {
       std::uint64_t tests = 0;
       const bool dominated = dominated_by_representatives(*representatives, coords.data(), tests);
@@ -175,12 +273,11 @@ void reference_pipeline(const data::PointSet& rows, const part::Partitioner& par
       h ^= h >> 27;
       key += static_cast<std::size_t>(h % salt[p]);
     }
-    out.emit(key, PointRec{id, {coords.begin(), coords.end()}});
+    out.push_back({key, PointRec{id, {coords.begin(), coords.end()}}});
   };
   auto make_local_skyline_fn = [&, dim](const char* emitted_counter) {
-    return [&, dim, emitted_counter](const std::size_t& key, std::vector<PointRec>& values,
-                                     mr::Emitter<std::size_t, PointRec>& out,
-                                     mr::TaskContext& ctx) {
+    return [&, dim, emitted_counter](std::size_t key, std::vector<PointRec>& values,
+                                     std::vector<Rec>& out, mr::TaskContext& ctx) {
       const std::size_t partition_id = key_to_partition[key];
       if (pruned.contains(partition_id)) {
         ctx.increment("skyline.points_pruned", values.size());
@@ -191,14 +288,14 @@ void reference_pipeline(const data::PointSet& rows, const part::Partitioner& par
       ctx.charge_work(stats.dominance_tests);
       ctx.increment(emitted_counter, local.size());
       for (std::size_t i = 0; i < local.size(); ++i) {
-        out.emit(key, PointRec{local.id(i), {local.point(i).begin(), local.point(i).end()}});
+        out.push_back({key, PointRec{local.id(i), {local.point(i).begin(), local.point(i).end()}}});
       }
     };
   };
   if (config.use_combiner) job1.combine_fn = make_local_skyline_fn("skyline.combine_points");
   job1.reduce_fn = make_local_skyline_fn("skyline.local_points");
 
-  auto job1_result = mr::run_job(job1, input_view, run_opts);
+  auto job1_result = run_record_job(job1, rows.size(), dim, run_opts);
   result.partition_job = std::move(job1_result.metrics);
 
   std::vector<std::size_t> partition_sizes(partitions, 0);
@@ -207,54 +304,49 @@ void reference_pipeline(const data::PointSet& rows, const part::Partitioner& par
   }
   result.partition_report = part::report_from_sizes(part_ref, std::move(partition_sizes));
   result.local_skylines.assign(partitions, data::PointSet(dim));
-  for (const auto& kv : job1_result.output) {
-    result.local_skylines[key_to_partition[kv.key]].push_back(kv.value.coords, kv.value.id);
+  for (const Rec& rec : job1_result.output) {
+    result.local_skylines[key_to_partition[rec.key]].push_back(rec.value.coords, rec.value.id);
   }
 
-  using MergeJob =
-      mr::JobConfig<std::size_t, PointRec, std::size_t, PointRec, std::size_t, PointRec>;
   const std::size_t fan_in = config.merge_fan_in;
-  std::vector<mr::KV<std::size_t, PointRec>> merge_input = std::move(job1_result.output);
+  std::vector<Rec> merge_input = std::move(job1_result.output);
   std::size_t groups = total_keys;
   for (std::size_t round = 1;; ++round) {
     const std::size_t next_groups = fan_in == 0 ? 1 : (groups + fan_in - 1) / fan_in;
-    MergeJob job;
+    RecordJob job;
     job.name = "merge-round-" + std::to_string(round);
     job.num_map_tasks = config.effective_map_tasks();
     job.num_reduce_tasks = next_groups;
-    job.partition_fn = [](const std::size_t& key, std::size_t buckets) { return key % buckets; };
-    job.value_bytes_fn = [](const PointRec& rec) {
-      return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
-    };
-    job.map_fn = [fan_in](const std::size_t& group, const PointRec& rec,
-                          mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+    job.map_fn = [&merge_input, fan_in](std::size_t row, std::vector<Rec>& out,
+                                        mr::TaskContext& ctx) {
       ctx.charge_work(1);
-      out.emit(fan_in == 0 ? 0 : group / fan_in, rec);
+      const Rec& rec = merge_input[row];
+      out.push_back({fan_in == 0 ? 0 : rec.key / fan_in, rec.value});
     };
-    job.reduce_fn = [&kernel, dim](const std::size_t& group, std::vector<PointRec>& values,
-                                   mr::Emitter<std::size_t, PointRec>& out,
-                                   mr::TaskContext& ctx) {
+    job.reduce_fn = [&kernel, dim](std::size_t group, std::vector<PointRec>& values,
+                                   std::vector<Rec>& out, mr::TaskContext& ctx) {
       skyline::SkylineStats stats;
       const data::PointSet merged = kernel(to_point_set(dim, values), &stats);
       ctx.charge_work(stats.dominance_tests);
       ctx.increment("skyline.merged_points", merged.size());
       for (std::size_t i = 0; i < merged.size(); ++i) {
-        out.emit(group, PointRec{merged.id(i), {merged.point(i).begin(), merged.point(i).end()}});
+        out.push_back(
+            {group, PointRec{merged.id(i), {merged.point(i).begin(), merged.point(i).end()}}});
       }
     };
-    auto merge_result = mr::run_job(job, merge_input, run_opts);
+    auto merge_result = run_record_job(job, merge_input.size(), dim, run_opts);
     result.merge_rounds.push_back(merge_result.metrics);
     groups = next_groups;
     if (groups <= 1) {
       data::PointSet skyline(dim);
-      for (const auto& kv : merge_result.output) skyline.push_back(kv.value.coords, kv.value.id);
+      for (const Rec& rec : merge_result.output) skyline.push_back(rec.value.coords, rec.value.id);
       result.skyline = std::move(skyline);
       break;
     }
     merge_input = std::move(merge_result.output);
   }
 
-  // The spill decision run_job took per map task.
+  // The spill decision the row job takes per map task.
   const std::uint64_t budget = config.run_options.shuffle_spill_bytes;
   const auto spill_files = [budget, dim](mr::JobMetrics& job) {
     if (budget == 0) return;
@@ -514,9 +606,9 @@ void expect_same_run(const core::MRSkylineResult& actual, const core::MRSkylineR
   }
 }
 
-/// A run's result, or the text of the RuntimeError it failed with — after
-/// the "file:line: " prefix, whose path depends on the translation unit that
-/// instantiated the engine template.
+/// A run's result, or the text of the RuntimeError it failed with. Every
+/// target includes from the repository root, so the "file:line: " prefix
+/// names the same file from the pipeline and from this test.
 struct Outcome {
   std::optional<core::MRSkylineResult> result;
   std::string error;
@@ -528,10 +620,7 @@ Outcome outcome_of(const Run& run) {
   try {
     out.result.emplace(run());
   } catch (const RuntimeError& e) {
-    const std::string what = e.what();
-    const std::size_t at = what.find(".hpp:");
-    const std::size_t text = at == std::string::npos ? at : what.find(": ", at);
-    out.error = text == std::string::npos ? what : what.substr(text + 2);
+    out.error = e.what();
   }
   return out;
 }

@@ -1,5 +1,5 @@
-// Schedule-trace, heterogeneous-cluster and straggler tests for the
-// simulator extensions.
+// Schedule-trace, heterogeneous-cluster, straggler and speculative-execution
+// tests for the simulator extensions.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -175,6 +175,62 @@ TEST(ClusterModel, WithStragglersValidation) {
   model.servers = 4;
   EXPECT_THROW((void)model.with_stragglers(5, 2.0), mrsky::InvalidArgument);
   EXPECT_THROW((void)model.with_stragglers(1, 0.5), mrsky::InvalidArgument);
+}
+
+// ---- Speculative execution -------------------------------------------------
+
+TEST(Speculation, CutsStragglerMakespan) {
+  // 8 equal tasks, one lane 10x slower: without speculation a task stuck on
+  // the slow lane defines the makespan; with it a backup rescues that task.
+  const std::vector<double> costs(8, 10.0);
+  const std::vector<double> speeds = {1.0, 1.0, 1.0, 0.1};
+  const PhaseSchedule plain = lpt_schedule(costs, speeds);
+  const PhaseSchedule spec = lpt_schedule_speculative(costs, speeds);
+  EXPECT_LT(spec.makespan_seconds, plain.makespan_seconds);
+}
+
+TEST(Speculation, MarksSpeculatedTasks) {
+  const std::vector<double> costs(8, 10.0);
+  const std::vector<double> speeds = {1.0, 1.0, 1.0, 0.1};
+  const PhaseSchedule spec = lpt_schedule_speculative(costs, speeds);
+  bool any = false;
+  for (const auto& p : spec.placements) any = any || p.speculated;
+  EXPECT_TRUE(any);
+}
+
+TEST(Speculation, NoOpOnBalancedSchedule) {
+  const std::vector<double> costs(8, 5.0);
+  const std::vector<double> speeds(4, 1.0);
+  const PhaseSchedule plain = lpt_schedule(costs, speeds);
+  const PhaseSchedule spec = lpt_schedule_speculative(costs, speeds);
+  EXPECT_DOUBLE_EQ(spec.makespan_seconds, plain.makespan_seconds);
+}
+
+TEST(Speculation, NeverWorseThanPlain) {
+  const std::vector<double> costs = {9.0, 1.0, 7.0, 3.0, 5.0, 2.0, 8.0};
+  for (double slow : {1.0, 0.5, 0.25, 0.1}) {
+    const std::vector<double> speeds = {1.0, 1.0, slow};
+    EXPECT_LE(lpt_schedule_speculative(costs, speeds).makespan_seconds,
+              lpt_schedule(costs, speeds).makespan_seconds + 1e-12);
+  }
+}
+
+TEST(Speculation, ClusterModelFlagRoutesThroughTrace) {
+  JobMetrics m;
+  for (int i = 0; i < 8; ++i) {
+    TaskMetrics t;
+    t.work_units = 1000000;
+    m.map_tasks.push_back(t);
+  }
+  m.reduce_tasks.push_back(TaskMetrics{});
+  ClusterModel model;
+  model.servers = 2;
+  model.map_slots_per_server = 2;
+  ClusterModel degraded = model.with_stragglers(1, 8.0);
+  ClusterModel rescued = degraded;
+  rescued.speculative_execution = true;
+  EXPECT_LT(trace_job(m, rescued).times.map_seconds,
+            trace_job(m, degraded).times.map_seconds);
 }
 
 }  // namespace

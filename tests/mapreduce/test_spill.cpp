@@ -1,13 +1,10 @@
-// Shuffle spill in the row job, and map-side routing counts in the generic
-// engine.
+// Shuffle spill in the row job.
 //
 // A spilling row-job map task writes each reduce bucket's rows as raw
 // coordinate and id bytes with one write; a reduce task reads each (map
 // task, bucket) span back with one read. The output must equal the
 // in-memory shuffle's, and a damaged spill file must fail the job with a
-// typed error, never a read past the span. JobMetrics::routed_records counts
-// what the map functions routed to each bucket, before any combine and for
-// committed attempts only.
+// typed error, never a read past the span.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,7 +17,6 @@
 #include <vector>
 
 #include "src/common/error.hpp"
-#include "src/mapreduce/job.hpp"
 #include "src/mapreduce/row_job.hpp"
 
 namespace mrsky::mr {
@@ -28,41 +24,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-using Values = std::vector<std::int32_t>;
-using RoutingJob = JobConfig<int, int, int, Values, int, std::int64_t>;
-
 constexpr std::size_t kDim = 3;
 constexpr std::size_t kInputRows = 200;
 /// Bytes a spilled row takes: its id and its coordinates.
 constexpr std::size_t kSpilledRowBytes = 4 + 8 * kDim;
-
-/// Five map tasks fanning every input row out to 4 of 23 keys over four
-/// buckets.
-RoutingJob routing_job() {
-  RoutingJob job;
-  job.name = "routing";
-  job.num_map_tasks = 5;
-  job.num_reduce_tasks = 4;
-  job.map_fn = [](const int& k, const int& v, Emitter<int, Values>& out, TaskContext&) {
-    for (int i = 0; i < 4; ++i) out.emit((k * 7 + i) % 23, Values{v, i, k});
-  };
-  job.reduce_fn = [](const int& key, std::vector<Values>& values,
-                     Emitter<int, std::int64_t>& out, TaskContext&) {
-    std::int64_t total = 0;
-    for (const Values& v : values) total += v[0] * 3 + v[1] - v[2];
-    out.emit(key, total);
-  };
-  job.partition_fn = [](const int& key, std::size_t buckets) {
-    return static_cast<std::size_t>(key) % buckets;
-  };
-  return job;
-}
-
-std::vector<KV<int, int>> numbers(int n) {
-  std::vector<KV<int, int>> input;
-  for (int i = 0; i < n; ++i) input.push_back({i, 5 * i + 2});
-  return input;
-}
 
 /// Five map tasks sending each input row r to bucket (7r) mod 4 as the row
 /// (r, 2r, r²) with id 1000 + r; a reduce returns its bucket's rows with the
@@ -149,37 +114,6 @@ TEST(ShuffleSpill, TruncatedSpillFileFailsTyped) {
   EXPECT_TRUE(done);
   EXPECT_TRUE(fs::is_empty(dir)) << "a failed job must still remove its spill files";
   fs::remove_all(dir);
-}
-
-TEST(RoutedRecords, CountMapOutputPerBucketBeforeCombine) {
-  RoutingJob job = routing_job();
-  const auto input = numbers(200);
-  std::vector<std::uint64_t> expected(job.num_reduce_tasks, 0);
-  for (const auto& kv : input) {
-    for (int i = 0; i < 4; ++i) expected[static_cast<std::size_t>((kv.key * 7 + i) % 23) % 4] += 1;
-  }
-
-  const auto plain = run_job(job, input);
-  EXPECT_EQ(plain.metrics.routed_records, expected);
-  for (std::size_t b = 0; b < expected.size(); ++b) {
-    EXPECT_EQ(plain.metrics.reduce_tasks[b].records_in, expected[b]) << "bucket " << b;
-  }
-
-  // A combiner shrinks what crosses the shuffle, not what was routed.
-  job.combine_fn = [](const int& key, std::vector<Values>& values, Emitter<int, Values>& out,
-                      TaskContext&) { out.emit(key, values.front()); };
-  RunOptions faulty;
-  faulty.task_failure_probability = 0.5;
-  faulty.max_task_attempts = 20;
-  for (const ExecutionMode mode : {ExecutionMode::kSequential, ExecutionMode::kThreads}) {
-    faulty.mode = mode;
-    const auto combined = run_job(job, input, faulty);
-    EXPECT_EQ(combined.metrics.routed_records, expected);
-    EXPECT_LT(combined.metrics.shuffle_records, 800u);
-    std::uint64_t retries = 0;
-    for (const auto& t : combined.metrics.map_tasks) retries += t.attempts - 1;
-    EXPECT_GT(retries, 0u) << "the fault injection never retried a map task";
-  }
 }
 
 }  // namespace
