@@ -13,8 +13,8 @@
 //   --mode generate  materialise the workload, z-order it, write the .mrb
 //                    (unmeasured helper process)
 //   --mode memory    materialise the .mrb and run the resident pipeline;
-//                    lands the baseline skyline as an exact .mrsk record
-//                    file for the block run to diff against
+//                    lands the baseline skyline as a small .mrb file for
+//                    the block run to diff against
 //   --mode block     stream the .mrb through run_mr_skyline(DatasetSource)
 //                    with a shuffle spill budget. --check gates:
 //                    file_bytes >= 4x --rss-cap-mb, VmHWM <= --rss-cap-mb,
@@ -26,8 +26,8 @@
 // Examples (an indented line continues the command above it):
 //   bench_out_of_core --mode generate --cardinality 4000000 --dim 4
 //       --distribution anticorrelated --file /tmp/ooc.mrb
-//   bench_out_of_core --mode memory --file /tmp/ooc.mrb --baseline /tmp/sky.mrsk
-//   bench_out_of_core --mode block --file /tmp/ooc.mrb --baseline /tmp/sky.mrsk
+//   bench_out_of_core --mode memory --file /tmp/ooc.mrb --baseline /tmp/sky.mrb
+//   bench_out_of_core --mode block --file /tmp/ooc.mrb --baseline /tmp/sky.mrb
 //       --rss-cap-mb 36 --check --json experiment_results/out_of_core.json
 #include <algorithm>
 #include <bit>
@@ -48,7 +48,6 @@
 #include "src/core/mr_skyline.hpp"
 #include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
-#include "src/dataset/record_file.hpp"
 #include "src/dataset/source.hpp"
 
 using namespace mrsky;
@@ -160,7 +159,7 @@ RunResult do_memory(const Options& opt) {
   const auto result = core::run_mr_skyline(ps, opt.config);
   const auto t1 = std::chrono::steady_clock::now();
   if (!opt.baseline.empty()) {
-    data::write_record_file(opt.baseline, canonical_by_id(result.skyline));
+    data::write_block_store(opt.baseline, canonical_by_id(result.skyline));
   }
 
   RunResult r;
@@ -198,7 +197,7 @@ int do_block(const Options& opt, bool gate_rss) {
 
   bool bitwise = true;
   if (!opt.baseline.empty()) {
-    const data::PointSet expect = data::read_record_file(opt.baseline);
+    const data::PointSet expect = data::BlockStore(opt.baseline).materialize();
     bitwise = same_bits(expect, canonical_by_id(result.skyline));
     MRSKY_REQUIRE(bitwise, "block-store skyline differs from the resident baseline — "
                            "the out-of-core path is NOT exact");
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
                        ("mrsky-ooc-" + std::to_string(::getpid()));
       std::filesystem::create_directories(dir);
       if (opt.file.empty()) opt.file = (dir / "data.mrb").string();
-      if (opt.baseline.empty()) opt.baseline = (dir / "baseline.mrsk").string();
+      if (opt.baseline.empty()) opt.baseline = (dir / "baseline.mrb").string();
       do_generate(opt);
       do_memory(opt);
       const int rc = do_block(opt, /*gate_rss=*/false);

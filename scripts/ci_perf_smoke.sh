@@ -107,10 +107,10 @@ mkdir -p "$OOC"
   --cardinality 4500000 --dim 4 --seed 2012 --block-rows 2048 \
   --file "$OOC/data.mrb"
 "$BUILD/bench/bench_out_of_core" --mode memory \
-  --file "$OOC/data.mrb" --baseline "$OOC/skyline.mrsk" \
+  --file "$OOC/data.mrb" --baseline "$OOC/skyline.mrb" \
   --partitions 512 --map-tasks 512
 "$BUILD/bench/bench_out_of_core" --mode block \
-  --file "$OOC/data.mrb" --baseline "$OOC/skyline.mrsk" \
+  --file "$OOC/data.mrb" --baseline "$OOC/skyline.mrb" \
   --partitions 512 --map-tasks 512 --threads 2 \
   --spill-bytes $((8 * 1024 * 1024)) --rss-cap-mb 38 \
   --json "$RESULTS/out_of_core.json" \

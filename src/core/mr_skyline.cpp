@@ -154,6 +154,38 @@ void throw_if_invalid(const std::vector<std::string>& errors) {
   throw InvalidArgument(message);
 }
 
+/// The partitioner a run routes with, and the partitions grid pruning drops.
+struct RunPartitioner {
+  part::PartitionerPtr owned;
+  const part::Partitioner* partitioner = nullptr;
+  std::unordered_set<std::size_t> pruned;
+};
+
+/// Fits `config`'s partitioner on `fit_input` under a `partition-fit` span,
+/// unless the caller handed in an already-fitted one (prepared_partitioner —
+/// the QueryEngine's per-(scheme, partitions, fit-sample) fit memo), whose
+/// span then says so.
+RunPartitioner prepare_partitioner(const data::PointSet& fit_input,
+                                   const MRSkylineConfig& config) {
+  common::TraceRecorder* const trace = config.run_options.trace;
+  RunPartitioner run;
+  run.partitioner = config.prepared_partitioner;
+  if (run.partitioner == nullptr) {
+    common::ScopedSpan fit_span(trace, "partition-fit", "plan");
+    fit_span.arg("scheme", part::to_string(config.scheme));
+    run.owned = fit_partitioner(fit_input, config, fit_span);
+    run.partitioner = run.owned.get();
+  } else if (trace != nullptr) {
+    common::ScopedSpan fit_span(trace, "partition-fit", "plan");
+    fit_span.arg("prepared", 1);
+    fit_span.arg("partitions", run.partitioner->num_partitions());
+  }
+  if (config.apply_grid_pruning) {
+    for (std::size_t p : run.partitioner->prunable_partitions()) run.pruned.insert(p);
+  }
+  return run;
+}
+
 /// The shared pipeline body — job 1 (partition + local skyline) and the
 /// merge cascade — generic over the input view (PointSetInput streams a
 /// resident PointSet, BlockInput streams a DatasetSource's surviving
@@ -554,28 +586,8 @@ MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfi
   pipeline_span.arg("scheme", part::to_string(config.scheme));
   pipeline_span.arg("points", input.size());
 
-  // --- Fit the partitioner (the paper's master-side planning step), unless
-  // the caller handed in an already-fitted one (prepared_partitioner — the
-  // QueryEngine's per-(scheme, partitions, fit-sample) fit memo). ---
-  part::PartitionerPtr owned_partitioner;
-  const part::Partitioner* partitioner = config.prepared_partitioner;
-  if (partitioner == nullptr) {
-    common::ScopedSpan fit_span(trace, "partition-fit", "plan");
-    fit_span.arg("scheme", part::to_string(config.scheme));
-    owned_partitioner = fit_partitioner(input, config, fit_span);
-    partitioner = owned_partitioner.get();
-  } else if (trace != nullptr) {
-    common::ScopedSpan fit_span(trace, "partition-fit", "plan");
-    fit_span.arg("prepared", 1);
-    fit_span.arg("partitions", partitioner->num_partitions());
-  }
-  const std::size_t partitions = partitioner->num_partitions();
-  const std::size_t dim = input.dim();
-
-  std::unordered_set<std::size_t> pruned;
-  if (config.apply_grid_pruning) {
-    for (std::size_t p : partitioner->prunable_partitions()) pruned.insert(p);
-  }
+  // The paper's master-side planning step.
+  const RunPartitioner fit = prepare_partitioner(input, config);
 
   // The representative filter's set-up, traced under the streamed path's
   // pre-shuffle span name.
@@ -589,7 +601,8 @@ MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfi
   }
 
   MRSkylineResult result;
-  run_pipeline(PointSetInput{&input}, dim, *partitioner, partitions, pruned,
+  run_pipeline(PointSetInput{&input}, input.dim(), *fit.partitioner,
+               fit.partitioner->num_partitions(), fit.pruned,
                representatives ? &*representatives : nullptr, config, result);
 
   result.wall_seconds = wall.elapsed_seconds();
@@ -627,30 +640,9 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   const data::PointSet fit_sample =
       source.sample(std::min(sample_target, source.size()), config.fit_sample_seed);
 
-  part::PartitionerPtr owned_partitioner;
-  const part::Partitioner* partitioner = config.prepared_partitioner;
-  if (partitioner == nullptr) {
-    part::PartitionerOptions popts;
-    popts.num_partitions = config.effective_partitions();
-    popts.split_dim = config.split_dim;
-    owned_partitioner = part::make_partitioner(config.scheme, popts);
-    common::ScopedSpan fit_span(trace, "partition-fit", "plan");
-    fit_span.arg("scheme", part::to_string(config.scheme));
-    owned_partitioner->fit(fit_sample);
-    fit_span.arg("fitted_points", fit_sample.size());
-    fit_span.arg("partitions", owned_partitioner->num_partitions());
-    partitioner = owned_partitioner.get();
-  } else if (trace != nullptr) {
-    common::ScopedSpan fit_span(trace, "partition-fit", "plan");
-    fit_span.arg("prepared", 1);
-    fit_span.arg("partitions", partitioner->num_partitions());
-  }
-  const std::size_t partitions = partitioner->num_partitions();
-
-  std::unordered_set<std::size_t> pruned;
-  if (config.apply_grid_pruning) {
-    for (std::size_t p : partitioner->prunable_partitions()) pruned.insert(p);
-  }
+  // fit_sample never has more rows than a non-zero fit_sample_size, so
+  // fit_partitioner fits on all of it.
+  const RunPartitioner fit = prepare_partitioner(fit_sample, config);
 
   // Every sample-skyline point is a real dataset row, so both pre-shuffle
   // cuts are exact: a pruned block and a filtered row hold only dominated
@@ -684,7 +676,7 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   stream.row_offsets = std::move(prune.row_offsets);
 
   MRSkylineResult result;
-  run_pipeline(stream, dim, *partitioner, partitions, pruned,
+  run_pipeline(stream, dim, *fit.partitioner, fit.partitioner->num_partitions(), fit.pruned,
                representatives ? &*representatives : nullptr, config, result);
   result.partition_job.blocks_pruned = prune.blocks_pruned;
   result.partition_job.bytes_read = prune.bytes_read;

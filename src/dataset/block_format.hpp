@@ -8,8 +8,8 @@
 // (compare_block / dominators_in_block) without any gather or copy — the
 // storage format *is* the compute format.
 //
-// Layout (all integers little-endian as written by the host — like `.mrsk`,
-// a working-set artifact, not an interchange format):
+// Layout (all integers little-endian as written by the host — a working-set
+// artifact, not an interchange format):
 //
 //   header : magic "MRB1" | u32 version (2) | u64 dim | u64 block_rows
 //   blocks : per block, 8-byte aligned —

@@ -436,13 +436,25 @@ PointSet BlockStore::materialize(ParseReport* report) const {
       append_block_to(b, out);
       continue;
     }
+    BlockRef ref;
     try {
-      append_block_to(b, out);
-      report->rows_read += rows_in_block(b);
+      ref = block(b);
     } catch (const mrsky::RuntimeError&) {
       report->add_issue(b, "checksum mismatch (corrupted file?) — " +
                                std::to_string(rows_in_block(b)) + " rows dropped");
       report->rows_skipped += rows_in_block(b) - 1;
+      continue;
+    }
+    std::vector<double> row(dim_);
+    for (std::size_t r = 0; r < ref.rows; ++r) {
+      ref.copy_row(r, row.data());
+      if (!std::all_of(row.begin(), row.end(), [](double v) { return std::isfinite(v); })) {
+        report->add_issue(b, "row with non-finite coordinates dropped (id " +
+                                 std::to_string(ref.ids[r]) + ")");
+        continue;
+      }
+      ++report->rows_read;
+      out.push_back(row, ref.ids[r]);
     }
   }
   return out;

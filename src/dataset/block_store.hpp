@@ -144,8 +144,9 @@ class BlockStore {
   void append_block_to(std::size_t b, PointSet& out) const;
 
   /// The whole file as a resident PointSet. Strict by default; with a report
-  /// the read is lenient — a corrupt block is dropped whole and accounted as
-  /// one issue row (its index), mirroring RecordFileReader::read_split.
+  /// the read is lenient, like a lenient CSV read: a corrupt block is dropped
+  /// whole and accounted as one issue, and a row with a non-finite coordinate
+  /// is dropped on its own, one issue each. Issue rows are block indices.
   [[nodiscard]] PointSet materialize(ParseReport* report = nullptr) const;
 
   /// Row indices (block-local, ascending) of block b's local skyline,

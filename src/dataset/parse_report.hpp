@@ -4,8 +4,8 @@
 // web crawl) arrive with ragged rows, unparsable cells, and out-of-range
 // measurements. The strict readers abort on the first such row; the lenient
 // modes mirror the engine's skip-bad-records mechanism at the input layer:
-// the offending row (or record-file block) is dropped and accounted for here,
-// and the load continues.
+// the offending row (or corrupt `.mrb` block) is dropped and accounted for
+// here, and the load continues.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,7 @@
 
 namespace mrsky::data {
 
-/// One rejected input unit: a CSV row or a record-file block/record.
+/// One rejected input unit: a CSV row, or a `.mrb` block or row.
 struct ParseIssue {
   std::size_t row = 0;  ///< 0-based data-row (or block) index in the source
   std::string reason;   ///< human-readable cause

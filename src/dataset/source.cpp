@@ -11,7 +11,6 @@
 
 #include "src/common/error.hpp"
 #include "src/dataset/block_store.hpp"
-#include "src/dataset/record_file.hpp"
 
 namespace mrsky::data {
 
@@ -219,7 +218,7 @@ std::string CsvSource::describe() const {
          std::to_string(dim()) + "d in " + std::to_string(block_count()) + " blocks";
 }
 
-// ---- open_dataset ----------------------------------------------------------
+// ---- open_dataset, read_points ---------------------------------------------
 
 std::unique_ptr<DatasetSource> open_dataset(const std::string& path,
                                             const OpenDatasetOptions& options,
@@ -227,12 +226,16 @@ std::unique_ptr<DatasetSource> open_dataset(const std::string& path,
   if (ends_with(path, ".mrb")) {
     return std::make_unique<BlockStoreSource>(path);
   }
-  if (ends_with(path, ".mrsk")) {
-    return std::make_unique<PointSetSource>(read_record_file(path, report));
-  }
   CsvReadOptions csv = options.csv;
   csv.lenient = csv.lenient || report != nullptr;
   return std::make_unique<CsvSource>(path, csv, report, options.csv_block_rows);
+}
+
+PointSet read_points(const std::string& path, ParseReport* report) {
+  if (ends_with(path, ".mrb")) return BlockStore(path).materialize(report);
+  CsvReadOptions csv;
+  csv.lenient = report != nullptr;
+  return read_csv_file(path, csv, report);
 }
 
 }  // namespace mrsky::data

@@ -169,11 +169,17 @@ struct OpenDatasetOptions {
 };
 
 /// Opens `path` as the source its extension implies: `.mrb` → BlockStoreSource
-/// (out-of-core), `.mrsk` → record file materialised behind a PointSetSource,
-/// anything else → CsvSource (streamed). A non-null report makes `.mrsk`/CSV
-/// reads lenient.
+/// (out-of-core), anything else → CsvSource (streamed). A non-null report
+/// makes a CSV read lenient; a `.mrb` is read block by block, strictly.
 [[nodiscard]] std::unique_ptr<DatasetSource> open_dataset(
     const std::string& path, const OpenDatasetOptions& options = {},
     ParseReport* report = nullptr);
+
+/// Reads all of `path` into memory, in the format its extension implies:
+/// `.mrb` → BlockStore::materialize, anything else → CSV. The read is lenient
+/// exactly when `report` is non-null: malformed CSV rows, corrupt `.mrb`
+/// blocks and rows with a non-finite coordinate are dropped and accounted
+/// there instead of failing the read.
+[[nodiscard]] PointSet read_points(const std::string& path, ParseReport* report = nullptr);
 
 }  // namespace mrsky::data

@@ -5,17 +5,11 @@
 #include <utility>
 
 #include "src/common/error.hpp"
-#include "src/dataset/io.hpp"
-#include "src/dataset/record_file.hpp"
+#include "src/dataset/source.hpp"
 
 namespace mrsky::server {
 
 namespace {
-
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 /// Clears the token's deadline on every exit path out of a query — including
 /// an InvalidArgument thrown mid-execute — so one request's budget can never
@@ -169,10 +163,7 @@ std::string Session::run_insert_file(const std::string& path) {
   }
   // Verbatim load (no normalisation): insert batches must already be in the
   // resident dataset's attribute space.
-  const std::string name = resolved.string();
-  return run_insert(has_suffix(name, ".mrsk") ? data::read_record_file(name)
-                                              : data::read_csv_file(name),
-                    /*ttl_ticks=*/0);
+  return run_insert(data::read_points(resolved.string()), /*ttl_ticks=*/0);
 }
 
 std::string Session::run_insert(const data::PointSet& points, std::int64_t ttl_ticks) {

@@ -9,7 +9,7 @@
 //   skyband 3                    3-skyband
 //   representative 5             5 greedy max-coverage representatives
 //   topk 10 0.25,0.25,0.5        best 10 by weighted sum (one weight/attr)
-//   insert extra.csv             insert_batch from a CSV / .mrsk file
+//   insert extra.csv             insert_batch from a CSV or .mrb file
 //   delete 3,17,42               delete points by engine id (one tick)
 //
 // Parsing follows the library's all-errors validation style: every malformed

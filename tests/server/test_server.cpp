@@ -9,20 +9,25 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
+#include "src/dataset/io.hpp"
 #include "src/server/client.hpp"
 #include "src/server/server.hpp"
 #include "src/server/session.hpp"
 #include "src/service/query_engine.hpp"
+#include "src/skyline/algorithms.hpp"
 
 namespace mrsky {
 namespace {
@@ -106,6 +111,34 @@ TEST(Session, InlineInsertAdvancesVersion) {
   EXPECT_NE(response.find("\"version\":1"), std::string::npos) << response;
   EXPECT_EQ(engine.version(), 1u);
   EXPECT_EQ(session.metrics().points_inserted, 2u);
+}
+
+// A file insert resolves against insert_dir and reads the format its name
+// says, in either request syntax; its rows land verbatim under fresh ids.
+TEST(Session, InsertFilesReadTheirFormatRelativeToInsertDir) {
+  const std::string dir = testing::TempDir() + "/session_insert_files";
+  std::filesystem::create_directories(dir);
+  const data::PointSet mrb_rows = workload(40, 3, 7);
+  const data::PointSet csv_rows = workload(30, 3, 8);
+  data::write_block_store(dir + "/extra.mrb", mrb_rows);
+  data::write_csv_file(dir + "/extra.csv", csv_rows);
+
+  service::QueryEngine engine(workload(), {});
+  server::Session session(1, engine, dir);
+  bool quit = false;
+  const std::string from_mrb = session.handle_line("insert extra.mrb", quit);
+  EXPECT_NE(from_mrb.find("\"inserted\":40"), std::string::npos) << from_mrb;
+  const std::string from_csv = session.handle_line(R"({"insert":"extra.csv"})", quit);
+  EXPECT_NE(from_csv.find("\"inserted\":30"), std::string::npos) << from_csv;
+  EXPECT_EQ(session.metrics().points_inserted, 70u);
+
+  const auto snapshot = engine.snapshot();
+  const data::PointSet& all = *snapshot->dataset;
+  ASSERT_EQ(all.size(), 320u);
+  EXPECT_TRUE(std::ranges::equal(all.raw().subspan(250 * 3, 40 * 3), mrb_rows.raw()));
+  EXPECT_TRUE(std::ranges::equal(all.raw().subspan(290 * 3, 30 * 3), csv_rows.raw()));
+  const data::PointSet sky = engine.execute(service::SkylineQuery{}).points;
+  EXPECT_EQ(data::sorted_ids(sky), data::sorted_ids(skyline::naive_skyline(all)));
 }
 
 TEST(Session, QuitEndsSessionAndMetricsReport) {

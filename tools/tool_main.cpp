@@ -1,8 +1,8 @@
 // mrsky — command-line front end for the library.
 //
 // Subcommands:
-//   generate  — write a synthetic dataset to CSV
-//   convert   — stage a CSV/.mrsk dataset into an on-disk .mrb block store
+//   generate  — write a synthetic dataset to CSV or .mrb
+//   convert   — stage a CSV dataset into an on-disk .mrb block store
 //   inspect   — print a .mrb file's block index (corners, checksums)
 //   skyline   — compute a skyline from a dataset with the MR pipeline;
 //               a .mrb input streams block by block (out-of-core)
@@ -45,7 +45,6 @@
 #include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/io.hpp"
-#include "src/dataset/record_file.hpp"
 #include "src/dataset/normalize.hpp"
 #include "src/dataset/qws.hpp"
 #include "src/dataset/source.hpp"
@@ -75,42 +74,30 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
                                                 suffix) == 0;
 }
 
+/// Reads `path` whole through data::read_points. Under --lenient true the
+/// read is tolerant of hand-curated files (the real QWS dataset is a web
+/// crawl): malformed rows, non-finite rows and corrupted blocks are dropped
+/// and summarised on stderr, not fatal.
+data::PointSet read_points_with_flags(const std::string& path, const common::CliArgs& args) {
+  if (!args.get_bool("lenient", false)) return data::read_points(path);
+  data::ParseReport report;
+  data::PointSet ps = data::read_points(path, &report);
+  if (!report.clean()) std::cerr << path << ": " << report.summary();
+  return ps;
+}
+
 data::PointSet load_input(const common::CliArgs& args) {
   const std::string path = args.get_string("input", "");
-  MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrsk|file.mrb> is required");
-  data::PointSet ps(1);
-  if (has_suffix(path, ".mrb")) {
-    // Subcommands that reach here genuinely need residency (serving,
-    // diagnostics), so a .mrb is materialised whole. Attribute values pass
-    // through untouched: the file was prepared by `mrsky convert`, and
-    // rescaling it here would silently disagree with what `mrsky skyline`
-    // streams. Use `mrsky skyline` for out-of-core execution.
-    const data::BlockStore store(path);
-    if (args.get_bool("lenient", false)) {
-      data::ParseReport report;
-      ps = store.materialize(&report);
-      if (!report.clean()) std::cerr << path << ": " << report.summary();
-    } else {
-      ps = store.materialize();
-    }
-    return ps;
+  MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrb> is required");
+  data::PointSet ps = read_points_with_flags(path, args);
+  // Subcommands that reach here genuinely need residency (serving,
+  // diagnostics), so a .mrb is materialised whole. Its attribute values pass
+  // through untouched: the file was prepared by `mrsky convert`, and
+  // rescaling it here would silently disagree with what `mrsky skyline`
+  // streams. Use `mrsky skyline` for out-of-core execution.
+  if (!has_suffix(path, ".mrb") && args.get_bool("normalize", true)) {
+    ps = data::normalize_min_max(ps);
   }
-  if (args.get_bool("lenient", false)) {
-    // Tolerant ingest for hand-curated files (the real QWS dataset is a web
-    // crawl): malformed rows and corrupted blocks are dropped, not fatal.
-    data::ParseReport report;
-    if (has_suffix(path, ".mrsk")) {
-      ps = data::read_record_file(path, &report);
-    } else {
-      data::CsvReadOptions options;
-      options.lenient = true;
-      ps = data::read_csv_file(path, options, &report);
-    }
-    if (!report.clean()) std::cerr << path << ": " << report.summary();
-  } else {
-    ps = has_suffix(path, ".mrsk") ? data::read_record_file(path) : data::read_csv_file(path);
-  }
-  if (args.get_bool("normalize", true)) ps = data::normalize_min_max(ps);
   return ps;
 }
 
@@ -122,7 +109,7 @@ data::PointSet load_input(const common::CliArgs& args) {
 /// PointSetSource.
 std::unique_ptr<data::DatasetSource> load_source(const common::CliArgs& args) {
   const std::string path = args.get_string("input", "");
-  MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrsk|file.mrb> is required");
+  MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrb> is required");
   if (has_suffix(path, ".mrb")) {
     MRSKY_REQUIRE(!args.get_bool("normalize", false),
                   "--normalize is not supported for .mrb inputs (it would force a full "
@@ -132,9 +119,10 @@ std::unique_ptr<data::DatasetSource> load_source(const common::CliArgs& args) {
   return std::make_unique<data::PointSetSource>(load_input(args));
 }
 
+/// Writes `ps` as a .mrb block store when `path` ends in .mrb, as CSV otherwise.
 void save_points(const std::string& path, const data::PointSet& ps) {
-  if (has_suffix(path, ".mrsk")) {
-    data::write_record_file(path, ps);
+  if (has_suffix(path, ".mrb")) {
+    data::write_block_store(path, ps);
   } else {
     data::write_csv_file(path, ps);
   }
@@ -202,7 +190,7 @@ mr::ClusterModel cluster_model_from(const common::CliArgs& args, std::size_t ser
 
 int cmd_generate(const common::CliArgs& args) {
   const std::string output = args.get_string("output", "");
-  MRSKY_REQUIRE(!output.empty(), "--output <file.csv> is required");
+  MRSKY_REQUIRE(!output.empty(), "--output <file.csv|file.mrb> is required");
   const auto n = static_cast<std::size_t>(args.get_int("n", 10000));
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 4));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2012));
@@ -224,7 +212,7 @@ int cmd_generate(const common::CliArgs& args) {
 int cmd_convert(const common::CliArgs& args) {
   const std::string input = args.get_string("input", "");
   const std::string output = args.get_string("output", "");
-  MRSKY_REQUIRE(!input.empty(), "--input <file.csv|file.mrsk> is required");
+  MRSKY_REQUIRE(!input.empty(), "--input <file.csv> is required");
   MRSKY_REQUIRE(!output.empty(), "--output <file.mrb> is required");
   MRSKY_REQUIRE(has_suffix(output, ".mrb"), "--output must end in .mrb");
   MRSKY_REQUIRE(!has_suffix(input, ".mrb"), "--input is already a .mrb block store");
@@ -235,20 +223,7 @@ int cmd_convert(const common::CliArgs& args) {
   // Conversion is a container change, so rows pass through verbatim unless
   // --normalize true is given explicitly (note: opposite default from the
   // query subcommands — the .mrb should hold exactly what later runs read).
-  data::PointSet ps(1);
-  if (args.get_bool("lenient", false)) {
-    data::ParseReport report;
-    if (has_suffix(input, ".mrsk")) {
-      ps = data::read_record_file(input, &report);
-    } else {
-      data::CsvReadOptions options;
-      options.lenient = true;
-      ps = data::read_csv_file(input, options, &report);
-    }
-    if (!report.clean()) std::cerr << input << ": " << report.summary();
-  } else {
-    ps = has_suffix(input, ".mrsk") ? data::read_record_file(input) : data::read_csv_file(input);
-  }
+  data::PointSet ps = read_points_with_flags(input, args);
   if (args.get_bool("normalize", false)) ps = data::normalize_min_max(ps);
 
   const std::string order = args.get_string("order", "input");
@@ -469,13 +444,6 @@ std::unique_ptr<service::QueryEngine> make_engine(const common::CliArgs& args,
   return std::make_unique<service::QueryEngine>(load_input(args), std::move(options));
 }
 
-/// Loads an insert-command file verbatim (no normalisation — insert batches
-/// must already be in the resident dataset's attribute space; re-normalising
-/// per file would shift every batch onto a different scale).
-data::PointSet load_insert_file(const std::string& path) {
-  return has_suffix(path, ".mrsk") ? data::read_record_file(path) : data::read_csv_file(path);
-}
-
 int cmd_query(const common::CliArgs& args) {
   const std::string script_path = args.get_string("script", "");
   MRSKY_REQUIRE(!script_path.empty(), "--script <file> is required");
@@ -501,7 +469,10 @@ int cmd_query(const common::CliArgs& args) {
     ++index;
     if (!queries_json.empty()) queries_json += ",";
     if (const auto* insert = std::get_if<service::InsertCommand>(&command)) {
-      const data::PointSet extra = load_insert_file(insert->path);
+      // Verbatim (no normalisation): insert batches must already be in the
+      // resident dataset's attribute space; re-normalising per file would
+      // shift every batch onto a different scale.
+      const data::PointSet extra = data::read_points(insert->path);
       engine.insert_batch(extra);
       table.add_row({common::Table::fmt(index), "insert " + insert->path,
                      common::Table::fmt(extra.size()), "", "", "", ""});
